@@ -8,7 +8,7 @@ from collections import Counter, defaultdict
 import numpy as np
 
 from cellformer import model as M
-from cellformer.autograd import set_dtype
+from cellformer.autograd import detached, set_dtype
 from cellformer.checkpoint import load_checkpoint
 from cellformer.dataio import read_cell_jsonl, read_qa_examples, read_tagging_examples
 from cellformer.documents import encode_document
@@ -117,7 +117,7 @@ def mvlm_by_role(ckpt_path, seed, n_docs=200):
     set_dtype(np.float64)
     init = load_checkpoint(ckpt_path)
     vocab = Vocab(init.vocab_tokens)
-    params = init.parameters()
+    params = detached(init.parameters())  # forward only: no graph
     mc = init.model_config
     pre = PretrainConfig()
     synth = SynthConfig(seed=seed + 77)

@@ -491,6 +491,27 @@ def backward(loss: Tensor) -> None:
             grads[id(parent)] = pg if acc is None else acc + pg
 
 
+def detached(params: dict[str, Tensor]) -> dict[str, Tensor]:
+    """Graph-free stand-ins for `params`, for forward-only work.
+
+    Returns a new dict of ``requires_grad=False`` tensors that share each
+    parameter's array (no copy), so in-place updates to a parameter show
+    through. Ops on them record no parents or backward closures, so each
+    intermediate is freed as soon as the next op has read it. The
+    originals are left as they are, so this is safe while other threads
+    train or predict with them."""
+    out = {}
+    for name, p in params.items():
+        t = object.__new__(Tensor)
+        t.data = p.data
+        t.requires_grad = False
+        t.grad = None
+        t._parents = ()
+        t._backward = None
+        out[name] = t
+    return out
+
+
 def zero_grads(params) -> None:
     """Clear grads on a dict or iterable of tensors."""
     values = params.values() if hasattr(params, "values") else params

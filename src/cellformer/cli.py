@@ -254,7 +254,8 @@ def cmd_finetune(args) -> int:
         params, report = finetune(task, train_set, eval_set, vocab, model_cfg,
                                   train_cfg, init=init, metrics_log=mlog)
 
-    fields = {"task": task, "init": args.init, "seed": train_cfg.seed}
+    fields = {"task": task, "init": args.init, "seed": train_cfg.seed,
+              "blas_threads": _blas_threads()}
     for title, cfg in (("model", model_cfg), ("train", train_cfg)):
         for f in sorted(dataclasses.fields(cfg), key=lambda f: f.name):
             fields[f"{title}.{f.name}"] = getattr(cfg, f.name)
@@ -360,6 +361,16 @@ def cmd_ablate(args) -> int:
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
+def _blas_threads() -> str:
+    """The BLAS thread count the environment sets for this process, or
+    `default`. It moves the last bits of a product, so every report
+    records it."""
+    for var in _BLAS_THREAD_VARS:
+        if os.environ.get(var):
+            return os.environ[var]
+    return "default"
+
+
 @contextlib.contextmanager
 def _one_blas_thread_per_worker():
     """Workers spawned inside this block load BLAS with one thread, unless
@@ -396,7 +407,8 @@ def _run_variant(variant, docs, vocab, model_cfg, train_cfg, pre_cfg,
     vcfg = dataclasses.replace(model_cfg, layout_mode=layout)
     init = None
     history = None
-    fields = {"variant": variant, "seed": train_cfg.seed}
+    fields = {"variant": variant, "seed": train_cfg.seed,
+              "blas_threads": _blas_threads()}
     if variant != "no_pretrain":
         t0 = time.time()
         pt_cfg = dataclasses.replace(train_cfg, steps=pretrain_steps)

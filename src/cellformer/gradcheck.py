@@ -38,6 +38,12 @@ def finite_difference_errors(
 ) -> dict[str, tuple[float, int]]:
     """Max relative error and probe count per parameter group.
 
+    `loss_fn(params)` builds the scalar loss from the dict it is handed: the
+    analytic pass hands it `params` and fills their `.grad`; the probes hand
+    it graph-free stand-ins that share their arrays, so no `requires_grad`
+    flag of the caller's tensors ever changes, and every probed element is
+    put back even when `loss_fn` raises.
+
     Probes every element with a nonzero analytic gradient; parameters whose
     analytic gradient is identically zero get a random sample of probes to
     catch missing backward rules. A nonzero analytic gradient where the
@@ -50,7 +56,7 @@ def finite_difference_errors(
     plentiful larger-|fd| elements).
     """
     zero_grads(params)
-    loss = loss_fn()
+    loss = loss_fn(params)
     backward(loss)
     analytic = {
         name: (np.zeros(p.shape) if p.grad is None else p.grad.copy())
@@ -62,42 +68,39 @@ def finite_difference_errors(
     )
     rel_floor = max(FD_FLOOR, noise_abs / REL_TOL)
 
-    # the probes only read loss values: with every parameter detached the
-    # forward builds no graph, which makes each probe about a quarter cheaper
-    flags = {name: p.requires_grad for name, p in params.items()}
-    for p in params.values():
-        p.requires_grad = False
+    # the probes only read loss values, so they run on detached stand-ins:
+    # the forward builds no graph, which makes each probe about a quarter
+    # cheaper, and the stand-ins share the arrays perturbed below
+    probe_params = ag.detached(params)
     report: dict[str, tuple[float, int]] = {}
-    try:
-        for name in sorted(params):
-            p = params[name]
-            g = analytic[name].reshape(-1)
-            flat = p.data.reshape(-1)
-            nz = np.nonzero(g)[0]
-            if len(nz) == 0:
-                rng = derive_rng(seed, "fd-zero-probe", name)
-                nz = rng.choice(len(flat), size=min(ZERO_SAMPLE, len(flat)),
-                                replace=False)
-            worst = 0.0
-            for i in nz:
-                old = flat[i]
+    for name in sorted(params):
+        p = params[name]
+        g = analytic[name].reshape(-1)
+        flat = p.data.reshape(-1)
+        nz = np.nonzero(g)[0]
+        if len(nz) == 0:
+            rng = derive_rng(seed, "fd-zero-probe", name)
+            nz = rng.choice(len(flat), size=min(ZERO_SAMPLE, len(flat)),
+                            replace=False)
+        worst = 0.0
+        for i in nz:
+            old = flat[i]
+            try:
                 flat[i] = old + FD_STEP
-                f_plus = loss_fn().item()
+                f_plus = loss_fn(probe_params).item()
                 flat[i] = old - FD_STEP
-                f_minus = loss_fn().item()
-                flat[i] = old
-                fd = (f_plus - f_minus) / (2 * FD_STEP)
-                if abs(fd) > rel_floor:
-                    worst = max(worst, abs(g[i] - fd) / abs(fd))
-                elif abs(fd) > FD_FLOOR:
-                    if abs(g[i] - fd) > noise_abs:
-                        worst = max(worst, 1.0)  # beyond rounding noise
-                elif abs(g[i]) > 1e-6:
-                    worst = max(worst, 1.0)  # phantom gradient
-            report[name] = (worst, len(nz))
-    finally:
-        for name, p in params.items():
-            p.requires_grad = flags[name]
+                f_minus = loss_fn(probe_params).item()
+            finally:
+                flat[i] = old  # a failing loss leaves no perturbed weight
+            fd = (f_plus - f_minus) / (2 * FD_STEP)
+            if abs(fd) > rel_floor:
+                worst = max(worst, abs(g[i] - fd) / abs(fd))
+            elif abs(fd) > FD_FLOOR:
+                if abs(g[i] - fd) > noise_abs:
+                    worst = max(worst, 1.0)  # beyond rounding noise
+            elif abs(g[i]) > 1e-6:
+                worst = max(worst, 1.0)  # phantom gradient
+        report[name] = (worst, len(nz))
     return report
 
 
@@ -144,7 +147,7 @@ def run_grad_check(seed: int = 0) -> tuple[bool, dict[str, tuple[float, int]]]:
     mvlm_labels = np.stack([e.mvlm_labels for e in examples])
     cpc_labels = np.stack([e.cpc_labels for e in examples])
 
-    def pretrain_fn():
+    def pretrain_fn(params):
         # composed as the trainer composes it: MLM logits at masked rows only
         hidden = M.encode(params, model_cfg, ids, boxes, attn)
         masked, masked_labels = labeled_rows(hidden, mvlm_labels,
@@ -166,7 +169,7 @@ def run_grad_check(seed: int = 0) -> tuple[bool, dict[str, tuple[float, int]]]:
     plain_boxes = np.stack([s.boxes for s in seqs])
     plain_attn = stack_attention([s.length for s in seqs], model_cfg.max_len)
 
-    def tagging_fn():
+    def tagging_fn(params):
         hidden = M.encode(params, model_cfg, plain_ids, plain_boxes, plain_attn)
         return ag.softmax_cross_entropy(M.head_tag(params, hidden), tag_targets,
                                         pre_cfg.ignore_label)
@@ -187,7 +190,7 @@ def run_grad_check(seed: int = 0) -> tuple[bool, dict[str, tuple[float, int]]]:
     starts = np.array([b[1] for b in built])
     ends = np.array([b[2] for b in built])
 
-    def qa_fn():
+    def qa_fn(params):
         hidden = M.encode(params, model_cfg, q_ids, q_boxes, q_attn)
         span = M.head_span(params, hidden)
         s_logits = span[:, :, 0] + Tensor(q_bias)
@@ -206,7 +209,7 @@ def run_grad_check(seed: int = 0) -> tuple[bool, dict[str, tuple[float, int]]]:
     c_attn = stack_attention([s.length for s in cls_seqs], model_cfg.max_len)
     c_labels = np.array([ex.label for ex in cls_data])
 
-    def cls_fn():
+    def cls_fn(params):
         hidden = M.encode(params, model_cfg, c_ids, c_boxes, c_attn)
         return ag.softmax_cross_entropy(M.head_cls(params, hidden), c_labels)
 

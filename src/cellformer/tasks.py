@@ -85,6 +85,7 @@ def predict_word_tags(
     batch_size: int,
 ) -> list[list[str]]:
     """Per-word predicted tags; words truncated out of the window get O."""
+    params = ag.detached(params)
     out = []
     for lo in range(0, len(seqs), batch_size):
         chunk = seqs[lo:lo + batch_size]
@@ -218,6 +219,7 @@ def qa_predict_answer(
     max_answer_len: int,
 ) -> str:
     """Best-scoring valid span across all windows, detokenized."""
+    params = ag.detached(params)
     best_score = -np.inf
     best_text = ""
     for win in windows:
@@ -381,6 +383,7 @@ def evaluate(
         return {"anls": float(np.mean(scores))}
     if task == "classification":
         seqs = _encode_docs([ex.doc for ex in eval_examples], vocab, model_cfg)
+        params = ag.detached(params)
         correct = 0
         for lo in range(0, len(seqs), train_cfg.batch_size):
             chunk = seqs[lo:lo + train_cfg.batch_size]

@@ -167,18 +167,21 @@ class Pretrainer:
             )
         return examples
 
-    def _forward_loss(self, examples) -> tuple[Tensor, dict]:
+    def _forward_loss(self, examples, params=None) -> tuple[Tensor, dict]:
+        """Joint loss over a batch, with the trainer's parameters unless
+        `params` stands in for them."""
+        params = self.params if params is None else params
         ids = np.stack([e.input_ids for e in examples])
         boxes = np.stack([e.boxes for e in examples])
         attn = stack_attention([e.length for e in examples], self.model_cfg.max_len)
         mvlm_labels = np.stack([e.mvlm_labels for e in examples])
-        hidden = M.encode(self.params, self.model_cfg, ids, boxes, attn)
+        hidden = M.encode(params, self.model_cfg, ids, boxes, attn)
         # the vocabulary projection runs on the masked positions alone
         masked, mvlm_labels = labeled_rows(hidden, mvlm_labels,
                                            self.pre_cfg.ignore_label)
-        mlm_logits = M.head_mlm(self.params, masked)
+        mlm_logits = M.head_mlm(params, masked)
         if self.use_cpc:
-            cpc_logits = M.head_cpc(self.params, hidden)
+            cpc_logits = M.head_cpc(params, hidden)
             cpc_labels = np.stack([e.cpc_labels for e in examples])
         else:
             cpc_logits, cpc_labels = None, None
@@ -189,6 +192,7 @@ class Pretrainer:
         """Deterministic corruption (epoch -1) over the held-out documents."""
         if not self.heldout:
             return {}
+        params = ag.detached(self.params)
         losses, correct, labeled = [], 0, 0
         bs = self.train_cfg.batch_size
         for lo in range(0, len(self.heldout), bs):
@@ -200,7 +204,7 @@ class Pretrainer:
                 )
                 for s in chunk
             ]
-            _, metrics = self._forward_loss(examples)
+            _, metrics = self._forward_loss(examples, params)
             losses.append(metrics["mvlm_loss"] * len(chunk))
             if self.use_cpc:
                 correct += metrics["cpc_correct"]

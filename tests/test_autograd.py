@@ -6,6 +6,7 @@ import pytest
 
 from cellformer import autograd as ag
 from cellformer.autograd import ShapeError, Tensor, backward, zero_grads
+from cellformer.gradcheck import finite_difference_errors
 from cellformer.optim import AdamState, adam_step, init_adam
 
 
@@ -406,3 +407,62 @@ def test_adam_shape_mismatch_is_contract_error():
     with pytest.raises(ShapeError):
         adam_step({"other": Tensor(np.ones(1), requires_grad=True)},
                   AdamState(0, {"w": np.ones(1)}, {"w": np.ones(1)}), lr=0.1)
+
+
+# -- graph-free forward ----------------------------------------------------------
+
+
+def test_detached_shares_arrays_and_builds_no_graph():
+    rng = np.random.default_rng(4)
+    params = {
+        "w": Tensor(rng.normal(size=(3, 4)), requires_grad=True),
+        "b": Tensor(rng.normal(size=4), requires_grad=True),
+        "g": Tensor(np.ones(4), requires_grad=True),
+        "emb": Tensor(rng.normal(size=(5, 3)), requires_grad=True),
+    }
+    free = ag.detached(params)
+    assert set(free) == set(params)
+    for name, p in params.items():
+        assert free[name] is not p
+        assert np.shares_memory(free[name].data, p.data), name
+        assert not free[name].requires_grad
+        assert p.requires_grad, name  # the caller's flags are left alone
+
+    def forward(q):
+        x = ag.embedding_gather(q["emb"], np.array([[0, 4, 4], [2, 1, 0]]))
+        h = ag.layer_norm(ag.gelu(ag.matmul(x, q["w"]) + q["b"]), q["g"], q["b"])
+        return ag.softmax(h.swapaxes(0, 1) * 0.5, axis=-1).sum(axis=-1)
+
+    out = forward(free)
+    assert not out.requires_grad
+    assert out._parents == () and out._backward is None
+    ref = forward(params)
+    assert ref.requires_grad and ref._parents
+    assert np.array_equal(out.data, ref.data)
+
+    # in-place updates to a parameter show through the stand-in
+    params["w"].data[0, 0] += 1.0
+    assert free["w"].data[0, 0] == params["w"].data[0, 0]
+    assert all(p.grad is None for p in params.values())
+
+
+def test_grad_check_probes_leave_flags_and_weights_as_they_were_even_when_raising():
+    w = Tensor(np.ones(3), requires_grad=True)
+    const = Tensor(np.full(3, 2.0))  # a tensor the caller does not train
+    params = {"w": w, "const": const}
+    seen = []
+
+    def failing_probe(p):
+        seen.append({name: t.requires_grad for name, t in p.items()})
+        if len(seen) > 1:
+            raise RuntimeError("probe failed")
+        return (p["w"] * p["const"]).sum()
+
+    with pytest.raises(RuntimeError, match="probe failed"):
+        finite_difference_errors(failing_probe, params)
+    assert w.requires_grad and not const.requires_grad
+    assert np.array_equal(w.data, np.ones(3))  # the probed element is put back
+    assert seen == [{"w": True, "const": False}, {"w": False, "const": False}]
+
+    finite_difference_errors(lambda p: (p["w"] * p["w"]).sum(), params)
+    assert w.requires_grad and not const.requires_grad

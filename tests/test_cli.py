@@ -178,8 +178,14 @@ def test_resume_with_mismatched_model_config_errors(pipeline, tmp_path, capsys):
     assert "model config" in capsys.readouterr().err
 
 
-def test_finetune_report_and_init_variants(pipeline, tmp_path, capsys):
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def test_finetune_report_and_init_variants(pipeline, tmp_path, capsys,
+                                           monkeypatch):
     root, out, pre = pipeline
+    for var in BLAS_THREAD_VARS:
+        monkeypatch.delenv(var, raising=False)
     ft1 = tmp_path / "ft_pre"
     code = main([
         "finetune", "--task", "tagging",
@@ -192,10 +198,14 @@ def test_finetune_report_and_init_variants(pipeline, tmp_path, capsys):
     report = (ft1 / "report.txt").read_text()
     for key in ("precision=", "recall=", "f1=", "seed=11", "task=tagging"):
         assert key in report
+    assert "blas_threads=default" in report.splitlines()
     # metrics echoed to 4 decimals
     f1_line = [l for l in report.splitlines() if l.startswith("f1=")][0]
     assert len(f1_line.split("=")[1].split(".")[1]) == 4
 
+    # the first of the BLAS thread variables that is set names the count
+    monkeypatch.setenv("OMP_NUM_THREADS", "2")
+    monkeypatch.setenv("MKL_NUM_THREADS", "5")
     ft2 = tmp_path / "ft_none"
     code = main([
         "finetune", "--task", "tagging",
@@ -209,6 +219,7 @@ def test_finetune_report_and_init_variants(pipeline, tmp_path, capsys):
     r1 = (ft1 / "report.txt").read_text()
     r2 = (ft2 / "report.txt").read_text()
     assert "init=none" in r2 and "init=none" not in r1
+    assert "blas_threads=2" in r2.splitlines()
     assert r1 != r2
 
 
@@ -238,8 +249,10 @@ def test_finetune_rejects_model_overrides_with_checkpoint(pipeline, tmp_path,
     assert "hidden_d" in capsys.readouterr().err
 
 
-def test_ablate_tiny_matrix(pipeline, tmp_path):
+def test_ablate_tiny_matrix(pipeline, tmp_path, monkeypatch):
     _, out, _ = pipeline
+    for var in BLAS_THREAD_VARS:
+        monkeypatch.delenv(var, raising=False)
     ab = tmp_path / "ab"
     code = main([
         "ablate", "--corpus", str(out / "pretrain_docs.jsonl"),
@@ -257,7 +270,9 @@ def test_ablate_tiny_matrix(pipeline, tmp_path):
     assert series[0] == "step\tcell_level\tword_level"
     assert len(series) == 1 + 4  # header + one row per pretrain step
     for variant in ("full", "word_level", "no_pretrain"):
-        assert (ab / variant / "report.txt").exists()
+        # each worker runs with the one BLAS thread the harness gives it
+        report = (ab / variant / "report.txt").read_text().splitlines()
+        assert "blas_threads=1" in report
 
 
 def test_ablate_variant_does_not_depend_on_its_neighbours(pipeline, tmp_path):

@@ -52,9 +52,9 @@ def test_phantom_gradient_is_caught():
     w = Tensor(np.ones(3), requires_grad=True)
     dead = Tensor(np.ones(3), requires_grad=True)
 
-    def loss_fn():
+    def loss_fn(p):
         # `dead` never enters the loss; fake a gradient for it afterwards
-        return (w * w).sum()
+        return (p["w"] * p["w"]).sum()
 
     report = finite_difference_errors(loss_fn, {"w": w, "dead": dead}, seed=0)
     assert report["w"][0] <= REL_TOL
@@ -65,9 +65,9 @@ def test_phantom_gradient_is_caught():
 
     lying = Tensor(np.ones(3), requires_grad=True)
 
-    def lying_loss():
-        out = (w * w).sum()
-        lying.grad = np.ones(3)  # claims a gradient it cannot have
+    def lying_loss(p):
+        out = (p["w"] * p["w"]).sum()
+        p["lying"].grad = np.ones(3)  # claims a gradient it cannot have
         return out
 
     report = finite_difference_errors(lying_loss, {"w": w, "lying": lying}, seed=0)

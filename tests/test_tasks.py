@@ -14,8 +14,9 @@ from cellformer.metrics import TAG_TO_ID
 from cellformer.synth import SynthConfig, gen_cls_dataset, gen_form_dataset, gen_qa_dataset, vocab_words
 from cellformer.taskdata import split_train_eval
 from cellformer.tasks import (
-    finetune, prepare_finetune_params, qa_token_span, qa_training_window,
-    qa_windows, tagging_token_labels,
+    TASKS, evaluate, finetune, predict_word_tags, prepare_finetune_params,
+    qa_predict_answer, qa_token_span, qa_training_window, qa_windows,
+    tagging_token_labels,
 )
 from cellformer.trainer import TrainConfig
 from cellformer.vocab import CLS_ID, SEP_ID, build_vocab, tokenize_to_ids
@@ -180,3 +181,41 @@ def test_finetune_rejects_bad_task_and_empty_data(vocab, model_cfg):
         finetune("segmentation", [1], [1], vocab, model_cfg, cfg)
     with pytest.raises(ValueError, match="empty"):
         finetune("tagging", [], [], vocab, model_cfg, cfg)
+
+
+# -- forward-only paths build no autograd graph --------------------------------
+
+
+def test_predict_word_tags_without_graph_matches_graph_forward(
+        vocab, model_cfg, graph_free_vs_graph):
+    params = prepare_finetune_params(model_cfg, "tagging", None, seed=3)
+    seqs = [encode_document(ex.doc, vocab, model_cfg.max_len)
+            for ex in gen_form_dataset(SYNTH, 5)]
+    tags = graph_free_vs_graph(
+        lambda: predict_word_tags(params, model_cfg, seqs, batch_size=2))
+    assert [len(t) for t in tags] == [s.n_words for s in seqs]
+    assert all(p.grad is None and p.requires_grad for p in params.values())
+
+
+def test_qa_predict_answer_without_graph_matches_graph_forward(
+        vocab, small, graph_free_vs_graph):
+    params = prepare_finetune_params(small, "qa", None, seed=3)
+    big = SynthConfig(seed=21, min_pairs=9, max_pairs=10)
+    windows, _ = qa_windows(gen_qa_dataset(big, 2)[0], vocab, small)
+    assert len(windows) > 1
+    graph_free_vs_graph(
+        lambda: qa_predict_answer(params, small, vocab, windows, 6))
+    assert all(p.grad is None and p.requires_grad for p in params.values())
+
+
+@pytest.mark.parametrize("task", TASKS)
+def test_evaluate_without_graph_matches_graph_forward(
+        task, vocab, model_cfg, graph_free_vs_graph):
+    params = prepare_finetune_params(model_cfg, task, None, seed=3)
+    gen = {"tagging": gen_form_dataset, "qa": gen_qa_dataset,
+           "classification": gen_cls_dataset}[task]
+    cfg = TrainConfig(steps=1, batch_size=2, precision="float64")
+    report = graph_free_vs_graph(
+        lambda: evaluate(task, params, gen(SYNTH, 5), vocab, model_cfg, cfg))
+    assert report
+    assert all(p.grad is None and p.requires_grad for p in params.values())

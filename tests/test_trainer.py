@@ -159,3 +159,17 @@ def test_heldout_eval_reports_cpc_accuracy():
     assert set(ev) == {"eval_mvlm_loss", "eval_cpc_acc"}
     assert 0.0 <= ev["eval_cpc_acc"] <= 1.0
     assert ev["eval_mvlm_loss"] > 0.0
+
+
+def test_heldout_eval_without_graph_matches_graph_forward(graph_free_vs_graph):
+    docs, vocab, model_cfg = tiny_setup(24)
+    train_cfg = TrainConfig(steps=3, batch_size=4, seed=5, eval_every=0,
+                            heldout_every=3, precision="float64")
+    trainer = Pretrainer(docs, vocab, model_cfg, train_cfg, PretrainConfig())
+    trainer.run()
+    for p in trainer.params.values():
+        p.grad = None
+    ev = graph_free_vs_graph(trainer.evaluate_heldout)
+    assert set(ev) == {"eval_mvlm_loss", "eval_cpc_acc"}
+    assert all(p.grad is None and p.requires_grad
+               for p in trainer.params.values())
