@@ -11,7 +11,7 @@ from cellformer import model as M
 from cellformer.autograd import detached, set_dtype
 from cellformer.checkpoint import load_checkpoint
 from cellformer.dataio import read_cell_jsonl, read_qa_examples, read_tagging_examples
-from cellformer.documents import encode_document
+from cellformer.documents import encode_document, stack_batch
 from cellformer.metrics import TAG_LABELS
 from cellformer.pretrain import PretrainConfig, derive_rng, make_pretrain_example
 from cellformer.synth import FIELD_KEYS, SynthConfig, _gen_form
@@ -19,7 +19,7 @@ from cellformer.taskdata import split_train_eval
 from cellformer.tasks import (
     finetune, predict_word_tags, qa_predict_answer, qa_windows,
 )
-from cellformer.trainer import TrainConfig, stack_attention
+from cellformer.trainer import TrainConfig
 from cellformer.vocab import Vocab
 from cellformer.metrics import anls_single
 
@@ -131,8 +131,7 @@ def mvlm_by_role(ckpt_path, seed, n_docs=200):
                        key=lambda ci: (layout.doc.cells[ci].box[1],
                                        layout.doc.cells[ci].box[0], ci))
         role_of_cell = [layout.roles[ci] for ci in order]
-        attn = stack_attention([ex.length], mc.max_len)
-        hidden = M.encode(params, mc, ex.input_ids[None], ex.boxes[None], attn)
+        hidden = M.encode(params, mc, *stack_batch([ex]))
         logits = M.head_mlm(params, hidden).data[0]
         logp = logits - np.log(np.exp(logits - logits.max(-1, keepdims=True))
                                .sum(-1, keepdims=True)) - logits.max(-1, keepdims=True)

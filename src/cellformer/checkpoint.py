@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from .autograd import Tensor
-from .model import ModelConfig, parameter_shapes
+from .model import ModelConfig, heads_present, parameter_shapes
 from .optim import AdamState
 
 MAGIC = "CELLFORMER-CKPT"
@@ -137,9 +137,17 @@ def load_checkpoint(path) -> Checkpoint:
         header = json.loads(body[:header_len])
     except json.JSONDecodeError as e:
         raise CheckpointTruncatedError(f"{path}: corrupt header: {e}") from None
-    data = body[header_len:]
+    try:
+        return _from_header(path, header, body[header_len:])
+    except (KeyError, TypeError, ValueError) as e:
+        # a field missing, of the wrong type, or rejected by ModelConfig
+        raise CheckpointError(f"{path}: malformed header: {e!r}") from None
 
+
+def _from_header(path, header: dict, data: bytes) -> Checkpoint:
     config = ModelConfig(**header["model_config"])
+    if header["precision"] not in _DTYPE_CODES:
+        raise ValueError(f"unknown precision {header['precision']!r}")
 
     arrays: dict[str, np.ndarray] = {}
     adam_m: dict[str, np.ndarray] = {}
@@ -161,7 +169,7 @@ def load_checkpoint(path) -> Checkpoint:
         else:
             arrays[name] = arr
 
-    expected = parameter_shapes(config, heads=_heads_from_names(arrays))
+    expected = parameter_shapes(config, heads=heads_present(arrays))
     if set(expected) != set(arrays):
         missing = sorted(set(expected) ^ set(arrays))
         raise CheckpointShapeError(f"{path}: array set mismatch: {missing}")
@@ -190,12 +198,3 @@ def load_checkpoint(path) -> Checkpoint:
         adam=adam,
         precision=header["precision"],
     )
-
-
-def _heads_from_names(arrays: dict) -> tuple[str, ...]:
-    heads = []
-    for head, key in (("mlm", "mlm_bias"), ("cpc", "cpc_w"), ("tag", "tag_w"),
-                      ("span", "span_w"), ("cls", "cls_w")):
-        if key in arrays:
-            heads.append(head)
-    return tuple(heads)

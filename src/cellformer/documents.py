@@ -13,7 +13,8 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional, Sequence
+from itertools import islice
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -196,7 +197,6 @@ class TokenizedSequence:
 
     doc_id: str
     token_ids: np.ndarray
-    pos1d: np.ndarray
     cell_index: np.ndarray
     word_index: np.ndarray
     boxes: np.ndarray
@@ -208,11 +208,31 @@ class TokenizedSequence:
         """True at real document tokens (excludes [CLS]/[SEP]/[PAD])."""
         return self.cell_index >= 0
 
-    def attention_mask(self) -> np.ndarray:
-        """True at non-pad positions."""
-        mask = np.zeros(len(self.token_ids), dtype=bool)
-        mask[: self.length] = True
-        return mask
+
+def stack_batch(items) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Encoder inputs for a batch of padded items (anything with
+    `token_ids`, `boxes` and `length`): token ids [B, L], boxes [B, L, 4]
+    and the attention mask [B, L], True before each item's length."""
+    token_ids = np.stack([it.token_ids for it in items])
+    boxes = np.stack([it.boxes for it in items])
+    lengths = np.array([it.length for it in items])
+    attn_mask = np.arange(token_ids.shape[1]) < lengths[:, None]
+    return token_ids, boxes, attn_mask
+
+
+def cell_tokens(
+    cells: list[Cell], vocab: Vocab, mode: str
+) -> Iterator[tuple[int, int, int, NormalizedBox]]:
+    """(token id, cell index, word index, box) of every token of the
+    serialized `cells`, in order; the box is the cell's in cell-level mode,
+    the word's in word-level mode."""
+    w = 0
+    for ci, cell in enumerate(cells):
+        for wi, word in enumerate(cell.words):
+            box = cell.box if mode == CELL_LEVEL else cell.word_boxes[wi]
+            for piece in tokenize(word, vocab):
+                yield vocab.id(piece), ci, w, box
+            w += 1
 
 
 def encode_document(
@@ -227,30 +247,10 @@ def encode_document(
         raise IngestError(f"document {doc.doc_id} has no cells")
 
     cells = serialize_cells(normalize_document(doc))
-
-    ids: list[int] = []
-    cell_idx: list[int] = []
-    word_idx: list[int] = []
-    boxes: list[NormalizedBox] = []
-    word_counter = 0
-    budget = max_len - 2
-    done = False
-    for ci, cell in enumerate(cells):
-        for wi, word in enumerate(cell.words):
-            word_box = cell.box if mode == CELL_LEVEL else cell.word_boxes[wi]
-            for piece in tokenize(word, vocab):
-                if len(ids) >= budget:
-                    done = True
-                    break
-                ids.append(vocab.id(piece))
-                cell_idx.append(ci)
-                word_idx.append(word_counter)
-                boxes.append(word_box)
-            if done:
-                break
-            word_counter += 1
-        if done:
-            break
+    # every cell has a word, so at least one token survives the cut
+    ids, cell_idx, word_idx, boxes = zip(
+        *islice(cell_tokens(cells, vocab, mode), max_len - 2)
+    )
 
     length = len(ids) + 2
     token_ids = np.full(max_len, PAD_ID, dtype=np.int64)
@@ -271,7 +271,6 @@ def encode_document(
     return TokenizedSequence(
         doc_id=doc.doc_id,
         token_ids=token_ids,
-        pos1d=np.arange(max_len, dtype=np.int64),
         cell_index=cell_index,
         word_index=word_index,
         boxes=box_arr,

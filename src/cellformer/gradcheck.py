@@ -1,6 +1,7 @@
 """Central finite-difference verification of every backward rule, composed
-through the real model: the joint pre-training loss and each fine-tuning
-loss on a tiny two-layer configuration.
+through the real model: the loss functions the trainers run (the joint
+pre-training loss and each fine-tuning loss) on a tiny two-layer
+configuration.
 
 The differencing path never touches backward(); it only re-runs the forward
 closure with perturbed parameters, so it stays an independent oracle.
@@ -9,20 +10,19 @@ closure with perturbed parameters, so it stays an independent oracle.
 from __future__ import annotations
 
 import logging
+from functools import partial
+
 import numpy as np
 
 from . import autograd as ag
 from . import model as M
 from .autograd import Tensor, backward, zero_grads
 from .documents import encode_document
-from .pretrain import (
-    PretrainConfig, derive_rng, labeled_rows, make_pretrain_example, pretrain_loss,
-)
+from .pretrain import PretrainConfig, derive_rng, make_pretrain_example
 from .synth import SynthConfig, gen_cls_dataset, gen_form_dataset, gen_qa_dataset, vocab_words
-from .tasks import qa_training_window, tagging_token_labels
-from .trainer import stack_attention
+from .tasks import TASK_HEADS, TASKS, TRAINING
+from .trainer import pretrain_batch_loss
 from .vocab import build_vocab
-from .model import MASK_NEG
 
 logger = logging.getLogger(__name__)
 
@@ -126,14 +126,14 @@ def _check_loss(name, loss_fn, params, report, seed):
 
 
 def run_grad_check(seed: int = 0) -> tuple[bool, dict[str, tuple[float, int]]]:
-    """FD-check the composed pre-training loss and all three fine-tuning
-    losses on the tiny model; returns (passed, per-group report)."""
+    """FD-check the trainers' own losses on the tiny model: the joint
+    pre-training loss and the three fine-tuning losses, each from fresh
+    parameters; returns (passed, per-group report)."""
     ag.set_dtype(np.float64)
     synth_cfg, vocab, model_cfg = _tiny_setup(seed)
     pre_cfg = PretrainConfig()
     report: dict[str, tuple[float, int]] = {}
 
-    # joint MVLM + CPC
     tag_data = gen_form_dataset(synth_cfg, 2)
     seqs = [encode_document(ex.doc, vocab, model_cfg.max_len) for ex in tag_data]
     examples = [
@@ -141,79 +141,24 @@ def run_grad_check(seed: int = 0) -> tuple[bool, dict[str, tuple[float, int]]]:
         for s in seqs
     ]
     params = M.init_parameters(model_cfg, derive_rng(seed, "p0"), heads=("mlm", "cpc"))
-    ids = np.stack([e.input_ids for e in examples])
-    boxes = np.stack([e.boxes for e in examples])
-    attn = stack_attention([e.length for e in examples], model_cfg.max_len)
-    mvlm_labels = np.stack([e.mvlm_labels for e in examples])
-    cpc_labels = np.stack([e.cpc_labels for e in examples])
 
     def pretrain_fn(params):
-        # composed as the trainer composes it: MLM logits at masked rows only
-        hidden = M.encode(params, model_cfg, ids, boxes, attn)
-        masked, masked_labels = labeled_rows(hidden, mvlm_labels,
-                                             pre_cfg.ignore_label)
-        loss, _ = pretrain_loss(
-            M.head_mlm(params, masked), M.head_cpc(params, hidden),
-            masked_labels, cpc_labels, pre_cfg,
-        )
-        return loss
+        return pretrain_batch_loss(params, model_cfg, pre_cfg, examples, True)[0]
 
     _check_loss("mvlm+cpc", pretrain_fn, params, report, seed)
 
-    # tagging
-    params = M.init_parameters(model_cfg, derive_rng(seed, "p1"), heads=("tag",))
-    tag_targets = np.stack([
-        tagging_token_labels(s, ex.word_labels) for s, ex in zip(seqs, tag_data)
-    ])
-    plain_ids = np.stack([s.token_ids for s in seqs])
-    plain_boxes = np.stack([s.boxes for s in seqs])
-    plain_attn = stack_attention([s.length for s in seqs], model_cfg.max_len)
-
-    def tagging_fn(params):
-        hidden = M.encode(params, model_cfg, plain_ids, plain_boxes, plain_attn)
-        return ag.softmax_cross_entropy(M.head_tag(params, hidden), tag_targets,
-                                        pre_cfg.ignore_label)
-
-    _check_loss("tagging", tagging_fn, params, report, seed)
-
-    # QA span
-    qa_data = gen_qa_dataset(synth_cfg, 2)
-    built = [qa_training_window(ex, vocab, model_cfg) for ex in qa_data]
-    built = [b for b in built if b is not None]
-    if not built:
-        raise RuntimeError("tiny QA setup produced no trainable window")
-    params = M.init_parameters(model_cfg, derive_rng(seed, "p2"), heads=("span",))
-    q_ids = np.stack([b[0].token_ids for b in built])
-    q_boxes = np.stack([b[0].boxes for b in built])
-    q_attn = stack_attention([b[0].length for b in built], model_cfg.max_len)
-    q_bias = np.where(np.stack([b[0].doc_mask for b in built]), 0.0, MASK_NEG)
-    starts = np.array([b[1] for b in built])
-    ends = np.array([b[2] for b in built])
-
-    def qa_fn(params):
-        hidden = M.encode(params, model_cfg, q_ids, q_boxes, q_attn)
-        span = M.head_span(params, hidden)
-        s_logits = span[:, :, 0] + Tensor(q_bias)
-        e_logits = span[:, :, 1] + Tensor(q_bias)
-        return (ag.softmax_cross_entropy(s_logits, starts)
-                + ag.softmax_cross_entropy(e_logits, ends)) * 0.5
-
-    _check_loss("qa", qa_fn, params, report, seed)
-
-    # classification
-    cls_data = gen_cls_dataset(synth_cfg, 3)
-    cls_seqs = [encode_document(ex.doc, vocab, model_cfg.max_len) for ex in cls_data]
-    params = M.init_parameters(model_cfg, derive_rng(seed, "p3"), heads=("cls",))
-    c_ids = np.stack([s.token_ids for s in cls_seqs])
-    c_boxes = np.stack([s.boxes for s in cls_seqs])
-    c_attn = stack_attention([s.length for s in cls_seqs], model_cfg.max_len)
-    c_labels = np.array([ex.label for ex in cls_data])
-
-    def cls_fn(params):
-        hidden = M.encode(params, model_cfg, c_ids, c_boxes, c_attn)
-        return ag.softmax_cross_entropy(M.head_cls(params, hidden), c_labels)
-
-    _check_loss("classification", cls_fn, params, report, seed)
+    task_data = {
+        "tagging": tag_data,
+        "qa": gen_qa_dataset(synth_cfg, 2),
+        "classification": gen_cls_dataset(synth_cfg, 3),
+    }
+    for k, task in enumerate(TASKS, start=1):
+        make_items, task_loss = TRAINING[task]
+        items = make_items(task_data[task], vocab, model_cfg)
+        params = M.init_parameters(model_cfg, derive_rng(seed, f"p{k}"),
+                                   heads=(TASK_HEADS[task],))
+        _check_loss(task, partial(task_loss, model_cfg=model_cfg, items=items),
+                    params, report, seed)
 
     passed = all(err <= REL_TOL for err, _ in report.values())
     return passed, report

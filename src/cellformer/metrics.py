@@ -5,7 +5,7 @@ start/end logits, and the thresholded normalized-edit-distance QA score.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -15,14 +15,6 @@ ENTITY_CATEGORIES = ("question", "answer", "header")
 TAG_LABELS = ["O"] + [f"{p}-{c}" for c in ENTITY_CATEGORIES for p in "BIES"]
 TAG_TO_ID = {t: i for i, t in enumerate(TAG_LABELS)}
 O_TAG = "O"
-
-
-def tags_to_ids(tags: Sequence[str]) -> list[int]:
-    return [TAG_TO_ID[t] for t in tags]
-
-
-def ids_to_tags(ids: Iterable[int]) -> list[str]:
-    return [TAG_LABELS[i] for i in ids]
 
 
 def decode_bies(tags: Sequence[str]) -> list[tuple[str, int, int]]:

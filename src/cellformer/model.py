@@ -71,58 +71,6 @@ def _trunc_normal(rng: np.random.Generator, shape, std: float = 0.02) -> np.ndar
     return np.clip(rng.normal(0.0, std, size=shape), -2 * std, 2 * std)
 
 
-def init_parameters(
-    config: ModelConfig, rng: np.random.Generator, heads=PRETRAIN_HEADS
-) -> dict[str, Tensor]:
-    """Fresh trainable parameters for the encoder plus the requested heads.
-
-    The MLM projection is weight-tied to `word_emb`; only its bias is a
-    separate array.
-    """
-    d = config.hidden_d
-
-    def param(arr) -> Tensor:
-        return Tensor(arr, requires_grad=True)
-
-    p: dict[str, Tensor] = {}
-    p["word_emb"] = param(_trunc_normal(rng, (config.vocab_size, d)))
-    p["pos1d_emb"] = param(_trunc_normal(rng, (config.max_len, d)))
-    p["x_emb"] = param(_trunc_normal(rng, (config.coord_vocab, d)))
-    p["y_emb"] = param(_trunc_normal(rng, (config.coord_vocab, d)))
-    p["emb_ln_g"] = param(np.ones(d))
-    p["emb_ln_b"] = param(np.zeros(d))
-
-    for i in range(config.num_layers):
-        pre = f"layer{i}."
-        for name in ("q", "k", "v", "o"):
-            p[pre + name + "_w"] = param(_trunc_normal(rng, (d, d)))
-            p[pre + name + "_b"] = param(np.zeros(d))
-        p[pre + "ln1_g"] = param(np.ones(d))
-        p[pre + "ln1_b"] = param(np.zeros(d))
-        p[pre + "f1_w"] = param(_trunc_normal(rng, (d, config.ffn_d)))
-        p[pre + "f1_b"] = param(np.zeros(config.ffn_d))
-        p[pre + "f2_w"] = param(_trunc_normal(rng, (config.ffn_d, d)))
-        p[pre + "f2_b"] = param(np.zeros(d))
-        p[pre + "ln2_g"] = param(np.ones(d))
-        p[pre + "ln2_b"] = param(np.zeros(d))
-
-    if "mlm" in heads:
-        p["mlm_bias"] = param(np.zeros(config.vocab_size))
-    if "cpc" in heads:
-        p["cpc_w"] = param(_trunc_normal(rng, (d, config.num_areas)))
-        p["cpc_b"] = param(np.zeros(config.num_areas))
-    if "tag" in heads:
-        p["tag_w"] = param(_trunc_normal(rng, (d, config.num_tag_labels)))
-        p["tag_b"] = param(np.zeros(config.num_tag_labels))
-    if "span" in heads:
-        p["span_w"] = param(_trunc_normal(rng, (d, 2)))
-        p["span_b"] = param(np.zeros(2))
-    if "cls" in heads:
-        p["cls_w"] = param(_trunc_normal(rng, (d, config.num_doc_classes)))
-        p["cls_b"] = param(np.zeros(config.num_doc_classes))
-    return p
-
-
 def parameter_shapes(config: ModelConfig, heads=PRETRAIN_HEADS) -> dict[str, tuple]:
     """Expected name -> shape map for a config, without allocating."""
     d = config.hidden_d
@@ -162,6 +110,28 @@ def parameter_shapes(config: ModelConfig, heads=PRETRAIN_HEADS) -> dict[str, tup
         shapes["cls_w"] = (d, config.num_doc_classes)
         shapes["cls_b"] = (config.num_doc_classes,)
     return shapes
+
+
+def init_parameters(
+    config: ModelConfig, rng: np.random.Generator, heads=PRETRAIN_HEADS
+) -> dict[str, Tensor]:
+    """Fresh trainable parameters for the encoder plus the requested heads:
+    ones for layer-norm gains (`*_g`), zeros for biases, truncated normal
+    for every matrix, drawn in `parameter_shapes` order.
+
+    The MLM projection is weight-tied to `word_emb`; only its bias is a
+    separate array.
+    """
+    params: dict[str, Tensor] = {}
+    for name, shape in parameter_shapes(config, heads).items():
+        if name.endswith("_g"):
+            arr = np.ones(shape)
+        elif name.endswith(("_b", "_bias")):
+            arr = np.zeros(shape)
+        else:
+            arr = _trunc_normal(rng, shape)
+        params[name] = Tensor(arr, requires_grad=True)
+    return params
 
 
 def heads_present(params: dict[str, Tensor]) -> tuple[str, ...]:
@@ -227,7 +197,8 @@ def input_embedding(
     boxes: np.ndarray,
     rng: Optional[np.random.Generator] = None,
 ) -> Tensor:
-    """Word + 1D-position + summed 2D-position embeddings, layer-normed.
+    """Word + 1D-position + summed 2D-position embeddings, layer-normed,
+    then dropped out with masks from `rng` (no rng: no dropout).
 
     `token_ids` is [B, L] (or [L]); `boxes` matches with a trailing axis of 4.
     """
@@ -239,7 +210,7 @@ def input_embedding(
     out = ag.layer_norm(
         summed, params["emb_ln_g"], params["emb_ln_b"], config.layer_norm_eps
     )
-    return ag.dropout(out, config.dropout, rng)
+    return ag.dropout(out, config.dropout if rng is not None else 0.0, rng)
 
 
 def _attention_bias(attn_mask: np.ndarray, dtype) -> Tensor:
@@ -260,7 +231,9 @@ def encode(
     """Full encoder stack over a batch; returns hidden states [B, L, d].
 
     `attn_mask` is [B, L] boolean, False at [PAD] positions; pad keys are
-    excluded from every attention softmax.
+    excluded from every attention softmax. Training forwards pass `rng`,
+    which draws the dropout masks; without one (evaluation, prediction,
+    the gradient check) no dropout is applied.
 
     Positions after the last one any row attends to are masked keys in
     every row, and a query only writes its own position, so they cannot
@@ -281,6 +254,7 @@ def encode(
         attn_mask = attn_mask[:, :run_len]
 
     batch, seq_len = token_ids.shape
+    drop = config.dropout if rng is not None else 0.0
     n_heads = config.num_heads
     head_d = config.hidden_d // n_heads
     scale = 1.0 / math.sqrt(head_d)
@@ -298,12 +272,10 @@ def encode(
         v = split_heads(ag.matmul(h, params[pre + "v_w"]) + params[pre + "v_b"])
 
         scores = ag.matmul(q, k.swapaxes(2, 3)) * scale + bias
-        attn = ag.dropout(ag.softmax(scores, axis=-1), config.dropout, rng)
+        attn = ag.dropout(ag.softmax(scores, axis=-1), drop, rng)
         ctx = ag.matmul(attn, v).swapaxes(1, 2).reshape(batch, seq_len, config.hidden_d)
         attn_out = ag.dropout(
-            ag.matmul(ctx, params[pre + "o_w"]) + params[pre + "o_b"],
-            config.dropout,
-            rng,
+            ag.matmul(ctx, params[pre + "o_w"]) + params[pre + "o_b"], drop, rng,
         )
         h = ag.layer_norm(
             h + attn_out, params[pre + "ln1_g"], params[pre + "ln1_b"],
@@ -315,7 +287,7 @@ def encode(
             params[pre + "f2_w"],
         ) + params[pre + "f2_b"]
         h = ag.layer_norm(
-            h + ag.dropout(ffn, config.dropout, rng),
+            h + ag.dropout(ffn, drop, rng),
             params[pre + "ln2_g"], params[pre + "ln2_b"], config.layer_norm_eps,
         )
     if seq_len < full_len:

@@ -77,7 +77,7 @@ class PretrainExample:
     """One corrupted training example with both label sets applied."""
 
     doc_id: str
-    input_ids: np.ndarray
+    token_ids: np.ndarray
     boxes: np.ndarray
     mvlm_labels: np.ndarray
     cpc_labels: np.ndarray
@@ -95,7 +95,7 @@ def sample_mvlm(
     """Select ~mask_rate of real tokens and rewrite them 80/10/10 as
     [MASK] / random non-reserved token / unchanged. Boxes stay untouched.
 
-    Returns (corrupted input_ids, labels with the original id at selected
+    Returns (corrupted token_ids, labels with the original id at selected
     positions and the ignore sentinel elsewhere, selected positions). At
     least one token is always selected.
     """
@@ -121,18 +121,18 @@ def sample_mvlm(
         idx = np.nonzero(eligible)[0]
         selected[idx[rng.integers(len(idx))]] = True
 
-    input_ids = seq.token_ids.copy()
+    token_ids = seq.token_ids.copy()
     to_mask = selected & (action < cfg.mask_token_frac)
     to_random = selected & (action >= cfg.mask_token_frac) & (
         action < cfg.mask_token_frac + cfg.random_frac
     )
-    input_ids[to_mask] = MASK_ID
-    input_ids[to_random] = random_ids[to_random]
+    token_ids[to_mask] = MASK_ID
+    token_ids[to_random] = random_ids[to_random]
 
     labels = np.full(n, cfg.ignore_label, dtype=np.int64)
     positions = np.nonzero(selected)[0]
     labels[positions] = seq.token_ids[positions]
-    return input_ids, labels, positions
+    return token_ids, labels, positions
 
 
 def sample_cpc(
@@ -176,11 +176,11 @@ def make_pretrain_example(
     rng: np.random.Generator,
 ) -> PretrainExample:
     """Apply both corruptions to one encoded document."""
-    input_ids, mvlm_labels, positions = sample_mvlm(seq, cfg, vocab_size, rng)
+    token_ids, mvlm_labels, positions = sample_mvlm(seq, cfg, vocab_size, rng)
     boxes, cpc_labels, cells = sample_cpc(seq, positions, cfg, rng)
     return PretrainExample(
         doc_id=seq.doc_id,
-        input_ids=input_ids,
+        token_ids=token_ids,
         boxes=boxes,
         mvlm_labels=mvlm_labels,
         cpc_labels=cpc_labels,

@@ -20,20 +20,23 @@ from . import model as M
 from .autograd import Tensor, backward, zero_grads
 from .checkpoint import Checkpoint
 from .dataio import DataError
-from .documents import TokenizedSequence, encode_document, normalize_document, serialize_cells
+from .documents import (
+    TokenizedSequence, cell_tokens, encode_document, normalize_document, serialize_cells,
+    stack_batch,
+)
 from .metrics import TAG_LABELS, TAG_TO_ID, anls_single, extract_span, word_f1
 from .model import MASK_NEG
 from .optim import adam_step, init_adam
 from .pretrain import IGNORE_LABEL, derive_rng
 from .taskdata import QaExample
-from .trainer import PRECISIONS, IndexSampler, TrainConfig, lr_at, stack_attention
+from .trainer import PRECISIONS, IndexSampler, TrainConfig, lr_at
 from .vocab import CLS_ID, SEP_ID, PAD_ID, Vocab, detokenize, tokenize_to_ids
 
 logger = logging.getLogger(__name__)
 
 TASKS = ("tagging", "qa", "classification")
 
-_TASK_HEAD = {"tagging": "tag", "qa": "span", "classification": "cls"}
+TASK_HEADS = {"tagging": "tag", "qa": "span", "classification": "cls"}
 
 
 def prepare_finetune_params(
@@ -46,7 +49,7 @@ def prepare_finetune_params(
     pre-training heads are dropped."""
     if task not in TASKS:
         raise ValueError(f"unknown task {task!r}; expected one of {TASKS}")
-    head = _TASK_HEAD[task]
+    head = TASK_HEADS[task]
     fresh = M.init_parameters(model_cfg, derive_rng(seed, "init", task), heads=(head,))
     if init is None:
         return fresh
@@ -54,13 +57,20 @@ def prepare_finetune_params(
     params: dict[str, Tensor] = {}
     for name in sorted(fresh):
         if name in encoder_names:
-            params[name] = Tensor(init.arrays[name], requires_grad=True)
+            # a copy: the optimizer updates in place, and the checkpoint
+            # (or the trainer that produced it) must keep its weights
+            params[name] = Tensor(init.arrays[name].copy(), requires_grad=True)
         else:
             params[name] = fresh[name]
     return params
 
 
 # -- tagging -------------------------------------------------------------------
+
+
+def _encode_docs(docs, vocab, model_cfg) -> list[TokenizedSequence]:
+    return [encode_document(d, vocab, model_cfg.max_len, model_cfg.layout_mode)
+            for d in docs]
 
 
 def tagging_token_labels(seq: TokenizedSequence, word_labels: Sequence[str]) -> np.ndarray:
@@ -78,6 +88,32 @@ def tagging_token_labels(seq: TokenizedSequence, word_labels: Sequence[str]) -> 
     return labels
 
 
+def tagging_items(examples, vocab: Vocab, model_cfg: M.ModelConfig):
+    """(encoded document, token labels) per tagging example."""
+    seqs = _encode_docs([ex.doc for ex in examples], vocab, model_cfg)
+    return [(s, tagging_token_labels(s, ex.word_labels))
+            for s, ex in zip(seqs, examples)]
+
+
+def tagging_loss(params, model_cfg: M.ModelConfig, items, rng=None) -> Tensor:
+    """Token cross-entropy at each word's first subword."""
+    hidden = M.encode(params, model_cfg, *stack_batch([s for s, _ in items]), rng=rng)
+    targets = np.stack([labels for _, labels in items])
+    return ag.softmax_cross_entropy(M.head_tag(params, hidden), targets, IGNORE_LABEL)
+
+
+def _head_logits(params, model_cfg: M.ModelConfig, seqs, batch_size: int,
+                 head) -> np.ndarray:
+    """Logits of `head` for every sequence, encoded `batch_size` at a time
+    with a forward that builds no graph."""
+    params = ag.detached(params)
+    return np.concatenate([
+        head(params, M.encode(params, model_cfg,
+                              *stack_batch(seqs[lo:lo + batch_size]))).data
+        for lo in range(0, len(seqs), batch_size)
+    ])
+
+
 def predict_word_tags(
     params: dict[str, Tensor],
     model_cfg: M.ModelConfig,
@@ -85,24 +121,18 @@ def predict_word_tags(
     batch_size: int,
 ) -> list[list[str]]:
     """Per-word predicted tags; words truncated out of the window get O."""
-    params = ag.detached(params)
+    pred_ids = np.argmax(
+        _head_logits(params, model_cfg, seqs, batch_size, M.head_tag), axis=-1
+    )
     out = []
-    for lo in range(0, len(seqs), batch_size):
-        chunk = seqs[lo:lo + batch_size]
-        ids = np.stack([s.token_ids for s in chunk])
-        boxes = np.stack([s.boxes for s in chunk])
-        attn = stack_attention([s.length for s in chunk], model_cfg.max_len)
-        hidden = M.encode(params, model_cfg, ids, boxes, attn)
-        logits = M.head_tag(params, hidden).data
-        pred_ids = np.argmax(logits, axis=-1)
-        for s, row in zip(chunk, pred_ids):
-            tags = ["O"] * s.n_words
-            seen: set[int] = set()
-            for pos, w in enumerate(s.word_index.tolist()):
-                if w >= 0 and w not in seen:
-                    seen.add(w)
-                    tags[w] = TAG_LABELS[row[pos]]
-            out.append(tags)
+    for s, row in zip(seqs, pred_ids):
+        tags = ["O"] * s.n_words
+        seen: set[int] = set()
+        for pos, w in enumerate(s.word_index.tolist()):
+            if w >= 0 and w not in seen:
+                seen.add(w)
+                tags[w] = TAG_LABELS[row[pos]]
+        out.append(tags)
     return out
 
 
@@ -120,22 +150,6 @@ class QaWindow:
     window_token_ids: list[int]  # document token ids inside this window
 
 
-def _document_stream(doc, vocab: Vocab, mode: str):
-    """Flat (token id, word index, box) stream in serialization order."""
-    cells = serialize_cells(normalize_document(doc))
-    ids, word_idx, boxes = [], [], []
-    w = 0
-    for cell in cells:
-        for wi, word in enumerate(cell.words):
-            box = cell.box if mode == "cell" else cell.word_boxes[wi]
-            for tid in tokenize_to_ids(word, vocab):
-                ids.append(tid)
-                word_idx.append(w)
-                boxes.append(tuple(box))
-            w += 1
-    return ids, word_idx, boxes
-
-
 def qa_windows(
     ex: QaExample, vocab: Vocab, model_cfg: M.ModelConfig
 ) -> tuple[list[QaWindow], list[int]]:
@@ -150,9 +164,9 @@ def qa_windows(
     q_ids = []
     for w in ex.question.split():
         q_ids.extend(tokenize_to_ids(w, vocab))
-    doc_ids, doc_words, doc_boxes = _document_stream(
-        ex.doc, vocab, model_cfg.layout_mode
-    )
+    tokens = list(cell_tokens(serialize_cells(normalize_document(ex.doc)), vocab,
+                              model_cfg.layout_mode))
+    doc_ids = [t[0] for t in tokens]
     room = L - 3 - len(q_ids)
     if room < 1:
         raise DataError(f"{ex.doc.doc_id}: question leaves no room for the document")
@@ -171,8 +185,8 @@ def qa_windows(
         ids[1:1 + len(q_ids)] = q_ids
         ids[1 + len(q_ids)] = SEP_ID
         ids[offset:offset + len(chunk)] = chunk
-        for j, b in enumerate(doc_boxes[start:start + room]):
-            boxes[offset + j] = b
+        for j, t in enumerate(tokens[start:start + room]):
+            boxes[offset + j] = t[3]
         length = offset + len(chunk) + 1
         ids[length - 1] = SEP_ID
         doc_mask = np.zeros(L, dtype=bool)
@@ -181,7 +195,7 @@ def qa_windows(
             token_ids=ids, boxes=boxes, length=length, doc_mask=doc_mask,
             doc_offset=offset, doc_start=start, window_token_ids=chunk,
         ))
-    return windows, doc_words
+    return windows, [t[2] for t in tokens]
 
 
 def qa_token_span(doc_words: list[int], span: tuple[int, int]) -> tuple[int, int]:
@@ -211,6 +225,37 @@ def qa_training_window(
     return None
 
 
+def qa_items(examples, vocab: Vocab, model_cfg: M.ModelConfig):
+    """(window, start, end) per QA example whose gold span fits a window;
+    see `qa_training_window`."""
+    items = []
+    for ex in examples:
+        built = qa_training_window(ex, vocab, model_cfg)
+        if built is not None:
+            items.append(built)
+    if len(items) < len(examples):
+        logger.warning("qa: %d training examples have no window covering "
+                       "their span", len(examples) - len(items))
+    if not items:
+        raise ValueError("no trainable QA examples")
+    return items
+
+
+def qa_loss(params, model_cfg: M.ModelConfig, items, rng=None) -> Tensor:
+    """Mean of the start and end cross-entropies, each softmax taken over
+    the window's document positions only."""
+    wins = [w for w, _, _ in items]
+    doc_bias = Tensor(np.where(np.stack([w.doc_mask for w in wins]), 0.0, MASK_NEG))
+    hidden = M.encode(params, model_cfg, *stack_batch(wins), rng=rng)
+    span = M.head_span(params, hidden)
+    starts = np.array([s for _, s, _ in items])
+    ends = np.array([e for _, _, e in items])
+    return (
+        ag.softmax_cross_entropy(span[:, :, 0] + doc_bias, starts)
+        + ag.softmax_cross_entropy(span[:, :, 1] + doc_bias, ends)
+    ) * 0.5
+
+
 def qa_predict_answer(
     params: dict[str, Tensor],
     model_cfg: M.ModelConfig,
@@ -223,9 +268,7 @@ def qa_predict_answer(
     best_score = -np.inf
     best_text = ""
     for win in windows:
-        attn = stack_attention([win.length], model_cfg.max_len)
-        hidden = M.encode(params, model_cfg, win.token_ids[None, :],
-                          win.boxes[None, :, :], attn)
+        hidden = M.encode(params, model_cfg, *stack_batch([win]))
         span_logits = M.head_span(params, hidden).data[0]
         start_logits, end_logits = span_logits[:, 0], span_logits[:, 1]
         try:
@@ -246,12 +289,28 @@ def qa_predict_answer(
 # -- classification ---------------------------------------------------------------
 
 
-def _encode_docs(docs, vocab, model_cfg) -> list[TokenizedSequence]:
-    return [encode_document(d, vocab, model_cfg.max_len, model_cfg.layout_mode)
-            for d in docs]
+def classification_items(examples, vocab: Vocab, model_cfg: M.ModelConfig):
+    """(encoded document, class id) per classification example."""
+    seqs = _encode_docs([ex.doc for ex in examples], vocab, model_cfg)
+    return [(s, ex.label) for s, ex in zip(seqs, examples)]
+
+
+def classification_loss(params, model_cfg: M.ModelConfig, items, rng=None) -> Tensor:
+    """Cross-entropy of the document class read at [CLS]."""
+    hidden = M.encode(params, model_cfg, *stack_batch([s for s, _ in items]), rng=rng)
+    labels = np.array([label for _, label in items], dtype=np.int64)
+    return ag.softmax_cross_entropy(M.head_cls(params, hidden), labels)
 
 
 # -- the shared fine-tuning driver -------------------------------------------------
+
+
+# task -> (examples -> training items, loss over a list of items)
+TRAINING = {
+    "tagging": (tagging_items, tagging_loss),
+    "qa": (qa_items, qa_loss),
+    "classification": (classification_items, classification_loss),
+}
 
 
 def finetune(
@@ -265,7 +324,8 @@ def finetune(
     metrics_log=None,
 ) -> tuple[dict[str, Tensor], dict]:
     """Train the task head + encoder on the task loss; report the task
-    metric on the eval split. Deterministic given the seed."""
+    metric on the eval split. Deterministic given the seed; the dropout
+    masks of step k come from (seed, "dropout", task, k)."""
     if task not in TASKS:
         raise ValueError(f"unknown task {task!r}; expected one of {TASKS}")
     if not train_examples:
@@ -274,73 +334,13 @@ def finetune(
     params = prepare_finetune_params(model_cfg, task, init, train_cfg.seed)
     adam = init_adam(params)
 
-    if task == "tagging":
-        seqs = _encode_docs([ex.doc for ex in train_examples], vocab, model_cfg)
-        labels = [tagging_token_labels(s, ex.word_labels)
-                  for s, ex in zip(seqs, train_examples)]
-
-        def batch_loss(indices):
-            ids = np.stack([seqs[i].token_ids for i in indices])
-            boxes = np.stack([seqs[i].boxes for i in indices])
-            attn = stack_attention([seqs[i].length for i in indices],
-                                   model_cfg.max_len)
-            targets = np.stack([labels[i] for i in indices])
-            hidden = M.encode(params, model_cfg, ids, boxes, attn)
-            logits = M.head_tag(params, hidden)
-            return ag.softmax_cross_entropy(logits, targets, IGNORE_LABEL)
-
-    elif task == "qa":
-        prepared = []
-        skipped = 0
-        for ex in train_examples:
-            built = qa_training_window(ex, vocab, model_cfg)
-            if built is None:
-                skipped += 1
-                continue
-            prepared.append(built)
-        if skipped:
-            logger.warning("qa: %d training examples have no window covering "
-                           "their span", skipped)
-        if not prepared:
-            raise ValueError("no trainable QA examples")
-
-        def batch_loss(indices):
-            wins = [prepared[i][0] for i in indices]
-            ids = np.stack([w.token_ids for w in wins])
-            boxes = np.stack([w.boxes for w in wins])
-            attn = stack_attention([w.length for w in wins], model_cfg.max_len)
-            starts = np.array([prepared[i][1] for i in indices])
-            ends = np.array([prepared[i][2] for i in indices])
-            doc_bias = np.where(
-                np.stack([w.doc_mask for w in wins]), 0.0, MASK_NEG
-            ).astype(ag.get_dtype())
-            hidden = M.encode(params, model_cfg, ids, boxes, attn)
-            span = M.head_span(params, hidden)
-            start_logits = span[:, :, 0] + Tensor(doc_bias)
-            end_logits = span[:, :, 1] + Tensor(doc_bias)
-            return (
-                ag.softmax_cross_entropy(start_logits, starts)
-                + ag.softmax_cross_entropy(end_logits, ends)
-            ) * 0.5
-
-    else:  # classification
-        seqs = _encode_docs([ex.doc for ex in train_examples], vocab, model_cfg)
-        cls_labels = np.array([ex.label for ex in train_examples], dtype=np.int64)
-
-        def batch_loss(indices):
-            ids = np.stack([seqs[i].token_ids for i in indices])
-            boxes = np.stack([seqs[i].boxes for i in indices])
-            attn = stack_attention([seqs[i].length for i in indices],
-                                   model_cfg.max_len)
-            hidden = M.encode(params, model_cfg, ids, boxes, attn)
-            logits = M.head_cls(params, hidden)
-            return ag.softmax_cross_entropy(logits, cls_labels[list(indices)])
-
-    n = len(train_examples) if task != "qa" else len(prepared)
-    sampler = IndexSampler(n, train_cfg.seed)
+    make_items, task_loss = TRAINING[task]
+    items = make_items(train_examples, vocab, model_cfg)
+    sampler = IndexSampler(len(items), train_cfg.seed)
     for step in range(train_cfg.steps):
-        indices = [i for i, _ in sampler.batch(step, train_cfg.batch_size)]
-        loss = batch_loss(indices)
+        batch = [items[i] for i, _ in sampler.batch(step, train_cfg.batch_size)]
+        loss = task_loss(params, model_cfg, batch,
+                         rng=derive_rng(train_cfg.seed, "dropout", task, step))
         zero_grads(params)
         backward(loss)
         adam_step(params, adam, lr_at(step, train_cfg))
@@ -383,16 +383,9 @@ def evaluate(
         return {"anls": float(np.mean(scores))}
     if task == "classification":
         seqs = _encode_docs([ex.doc for ex in eval_examples], vocab, model_cfg)
-        params = ag.detached(params)
-        correct = 0
-        for lo in range(0, len(seqs), train_cfg.batch_size):
-            chunk = seqs[lo:lo + train_cfg.batch_size]
-            ids = np.stack([s.token_ids for s in chunk])
-            boxes = np.stack([s.boxes for s in chunk])
-            attn = stack_attention([s.length for s in chunk], model_cfg.max_len)
-            hidden = M.encode(params, model_cfg, ids, boxes, attn)
-            pred = np.argmax(M.head_cls(params, hidden).data, axis=-1)
-            gold = [ex.label for ex in eval_examples[lo:lo + train_cfg.batch_size]]
-            correct += int((pred == np.asarray(gold)).sum())
+        logits = _head_logits(params, model_cfg, seqs, train_cfg.batch_size,
+                              M.head_cls)
+        gold = np.array([ex.label for ex in eval_examples])
+        correct = int((np.argmax(logits, axis=-1) == gold).sum())
         return {"accuracy": correct / len(eval_examples)}
     raise ValueError(f"unknown task {task!r}")

@@ -19,10 +19,11 @@ from . import autograd as ag
 from . import model as M
 from .autograd import Tensor, backward, zero_grads
 from .checkpoint import Checkpoint
-from .documents import RawDocument, encode_document
+from .documents import RawDocument, encode_document, stack_batch
 from .optim import adam_step, init_adam
 from .pretrain import (
-    PretrainConfig, derive_rng, labeled_rows, make_pretrain_example, pretrain_loss,
+    PretrainConfig, PretrainExample, derive_rng, labeled_rows, make_pretrain_example,
+    pretrain_loss,
 )
 from .vocab import Vocab
 
@@ -96,11 +97,28 @@ class IndexSampler:
         return out
 
 
-def stack_attention(lengths: Sequence[int], max_len: int) -> np.ndarray:
-    mask = np.zeros((len(lengths), max_len), dtype=bool)
-    for i, n in enumerate(lengths):
-        mask[i, :n] = True
-    return mask
+def pretrain_batch_loss(
+    params: dict[str, Tensor],
+    model_cfg: M.ModelConfig,
+    pre_cfg: PretrainConfig,
+    examples: Sequence[PretrainExample],
+    use_cpc: bool,
+    rng: Optional[np.random.Generator] = None,
+) -> tuple[Tensor, dict]:
+    """Joint MVLM (+ CPC) loss and its metrics over a batch of corrupted
+    examples; `rng` draws the dropout masks of a training forward."""
+    hidden = M.encode(params, model_cfg, *stack_batch(examples), rng=rng)
+    # the vocabulary projection runs on the masked positions alone
+    masked, mvlm_labels = labeled_rows(
+        hidden, np.stack([e.mvlm_labels for e in examples]), pre_cfg.ignore_label
+    )
+    mlm_logits = M.head_mlm(params, masked)
+    if use_cpc:
+        cpc_logits = M.head_cpc(params, hidden)
+        cpc_labels = np.stack([e.cpc_labels for e in examples])
+    else:
+        cpc_logits, cpc_labels = None, None
+    return pretrain_loss(mlm_logits, cpc_logits, mvlm_labels, cpc_labels, pre_cfg)
 
 
 class Pretrainer:
@@ -167,27 +185,6 @@ class Pretrainer:
             )
         return examples
 
-    def _forward_loss(self, examples, params=None) -> tuple[Tensor, dict]:
-        """Joint loss over a batch, with the trainer's parameters unless
-        `params` stands in for them."""
-        params = self.params if params is None else params
-        ids = np.stack([e.input_ids for e in examples])
-        boxes = np.stack([e.boxes for e in examples])
-        attn = stack_attention([e.length for e in examples], self.model_cfg.max_len)
-        mvlm_labels = np.stack([e.mvlm_labels for e in examples])
-        hidden = M.encode(params, self.model_cfg, ids, boxes, attn)
-        # the vocabulary projection runs on the masked positions alone
-        masked, mvlm_labels = labeled_rows(hidden, mvlm_labels,
-                                           self.pre_cfg.ignore_label)
-        mlm_logits = M.head_mlm(params, masked)
-        if self.use_cpc:
-            cpc_logits = M.head_cpc(params, hidden)
-            cpc_labels = np.stack([e.cpc_labels for e in examples])
-        else:
-            cpc_logits, cpc_labels = None, None
-        return pretrain_loss(mlm_logits, cpc_logits, mvlm_labels, cpc_labels,
-                             self.pre_cfg)
-
     def evaluate_heldout(self) -> dict:
         """Deterministic corruption (epoch -1) over the held-out documents."""
         if not self.heldout:
@@ -204,7 +201,8 @@ class Pretrainer:
                 )
                 for s in chunk
             ]
-            _, metrics = self._forward_loss(examples, params)
+            _, metrics = pretrain_batch_loss(params, self.model_cfg, self.pre_cfg,
+                                             examples, self.use_cpc)
             losses.append(metrics["mvlm_loss"] * len(chunk))
             if self.use_cpc:
                 correct += metrics["cpc_correct"]
@@ -226,7 +224,10 @@ class Pretrainer:
         for step in range(self.start_step, last):
             examples = self._batch_examples(step)
             lr = lr_at(step, self.train_cfg)
-            loss, metrics = self._forward_loss(examples)
+            loss, metrics = pretrain_batch_loss(
+                self.params, self.model_cfg, self.pre_cfg, examples, self.use_cpc,
+                rng=derive_rng(self.train_cfg.seed, "dropout", step),
+            )
             zero_grads(self.params)
             backward(loss)
             adam_step(self.params, self.adam, lr)

@@ -37,10 +37,6 @@ class Vocab:
     def __contains__(self, token: str) -> bool:
         return token in self.token_to_id
 
-    @property
-    def num_reserved(self) -> int:
-        return len(RESERVED)
-
     def id(self, token: str) -> int:
         return self.token_to_id[token]
 

@@ -1,15 +1,18 @@
 """Checkpoint container: byte-exact round trips and the three distinct
 failure kinds."""
 
+import json
+
 import numpy as np
 import pytest
 
 from cellformer import autograd as ag
 from cellformer import model as M
 from cellformer.checkpoint import (
-    Checkpoint, CheckpointShapeError, CheckpointTruncatedError,
+    Checkpoint, CheckpointError, CheckpointShapeError, CheckpointTruncatedError,
     CheckpointVersionError, load_checkpoint, save_checkpoint,
 )
+from cellformer.cli import main
 from cellformer.optim import init_adam
 from cellformer.pretrain import derive_rng
 from cellformer.vocab import build_vocab
@@ -97,6 +100,43 @@ def test_wrong_magic_and_version_raise_version_error(tmp_path):
     path.write_bytes(b"CELLFORMER-CKPT 99\n" + blob.split(b"\n", 1)[1])
     with pytest.raises(CheckpointVersionError):
         load_checkpoint(path)
+
+
+def rewrite_header(path, edit):
+    """Apply `edit` to the JSON header of a saved checkpoint in place."""
+    magic, length, rest = path.read_bytes().split(b"\n", 2)
+    header = json.loads(rest[:int(length)])
+    edit(header)
+    raw = json.dumps(header).encode()
+    path.write_bytes(magic + b"\n" + str(len(raw)).encode() + b"\n" + raw
+                     + rest[int(length):])
+
+
+@pytest.mark.parametrize("edit", [
+    lambda h: h["model_config"].update(hidden_size=64),  # unknown field
+    lambda h: h["model_config"].update(num_areas=15),  # rejected value
+    lambda h: h.pop("step"),
+    lambda h: h.pop("model_config"),
+    lambda h: h.update(precision="bf16"),
+    lambda h: h["arrays"][0].update(shape=[3, 3]),
+], ids=["unknown-key", "bad-value", "no-step", "no-config", "precision", "shape"])
+def test_malformed_header_raises_checkpoint_error(tmp_path, edit):
+    path = tmp_path / "h.ckpt"
+    save_checkpoint(path, make_checkpoint())
+    rewrite_header(path, edit)
+    with pytest.raises(CheckpointError, match="h.ckpt"):
+        load_checkpoint(path)
+
+
+def test_malformed_header_is_a_data_error_in_the_cli(tmp_path, capsys):
+    path = tmp_path / "h.ckpt"
+    save_checkpoint(path, make_checkpoint())
+    rewrite_header(path, lambda h: h["model_config"].update(hidden_size=64))
+    code = main(["finetune", "--task", "tagging", "--docs", "unread.jsonl",
+                 "--labels", "unread.jsonl", "--init", str(path),
+                 "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "hidden_size" in capsys.readouterr().err
 
 
 def test_array_set_mismatch_raises_shape_error(tmp_path):

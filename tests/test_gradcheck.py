@@ -2,19 +2,39 @@
 fail when a backward rule is deliberately corrupted."""
 
 import time
+from collections import Counter
 
 import numpy as np
 
 import cellformer.autograd
 from cellformer import autograd as ag
+from cellformer import gradcheck, tasks, trainer
 from cellformer.autograd import Tensor
 from cellformer.gradcheck import REL_TOL, finite_difference_errors, run_grad_check
 
 
-def test_run_grad_check_passes_within_budget():
+def test_run_grad_check_passes_within_budget(monkeypatch):
+    # the analytic pass of each check (the one on trainable parameters)
+    # must run through the loss function the trainers themselves call
+    analytic = Counter()
+
+    def counting(name, loss_fn):
+        def wrapped(params, *args, **kwargs):
+            analytic[name] += all(p.requires_grad for p in params.values())
+            return loss_fn(params, *args, **kwargs)
+        return wrapped
+
+    assert gradcheck.pretrain_batch_loss is trainer.pretrain_batch_loss
+    monkeypatch.setattr(gradcheck, "pretrain_batch_loss",
+                        counting("pretrain", trainer.pretrain_batch_loss))
+    for task, (make_items, task_loss) in tasks.TRAINING.items():
+        monkeypatch.setitem(tasks.TRAINING, task,
+                            (make_items, counting(task, task_loss)))
+
     t0 = time.time()
     passed, report = run_grad_check(seed=0)
     elapsed = time.time() - t0
+    assert analytic == {"pretrain": 1, "tagging": 1, "qa": 1, "classification": 1}
     assert passed, {k: v for k, v in report.items() if v[0] > REL_TOL}
     assert elapsed < 120.0
     # every parameter group named by any loss appears exactly once

@@ -86,7 +86,7 @@ def make_seq(n_cells=12, tokens_per_cell=3, length=None) -> TokenizedSequence:
             pos += 1
     ids[pos] = SEP_ID
     return TokenizedSequence(
-        doc_id="hand", token_ids=ids, pos1d=np.arange(L, dtype=np.int64),
+        doc_id="hand", token_ids=ids,
         cell_index=cell_index, word_index=word_index, boxes=boxes,
         length=pos + 1, cell_boxes=cell_boxes, n_words=n_cells * tokens_per_cell,
     )
@@ -259,7 +259,7 @@ def test_example_seeded_determinism():
     for seq in seqs:
         a = make_pretrain_example(seq, cfg, len(vocab), derive_rng(9, seq.doc_id))
         b = make_pretrain_example(seq, cfg, len(vocab), derive_rng(9, seq.doc_id))
-        for field in ("input_ids", "boxes", "mvlm_labels", "cpc_labels",
+        for field in ("token_ids", "boxes", "mvlm_labels", "cpc_labels",
                       "masked_token_positions", "selected_cell_indices"):
             assert np.array_equal(getattr(a, field), getattr(b, field))
 

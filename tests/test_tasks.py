@@ -6,10 +6,11 @@ import dataclasses
 import numpy as np
 import pytest
 
+from cellformer.checkpoint import load_checkpoint, save_checkpoint
 from cellformer.dataio import DataError
 from cellformer.documents import encode_document
 from cellformer.model import ModelConfig
-from cellformer.pretrain import IGNORE_LABEL
+from cellformer.pretrain import IGNORE_LABEL, PretrainConfig
 from cellformer.metrics import TAG_TO_ID
 from cellformer.synth import SynthConfig, gen_cls_dataset, gen_form_dataset, gen_qa_dataset, vocab_words
 from cellformer.taskdata import split_train_eval
@@ -18,10 +19,12 @@ from cellformer.tasks import (
     qa_predict_answer, qa_token_span, qa_training_window, qa_windows,
     tagging_token_labels,
 )
-from cellformer.trainer import TrainConfig
+from cellformer.trainer import Pretrainer, TrainConfig
 from cellformer.vocab import CLS_ID, SEP_ID, build_vocab, tokenize_to_ids
 
 SYNTH = SynthConfig(seed=21, min_pairs=3, max_pairs=5)
+TASK_DATA = {"tagging": gen_form_dataset, "qa": gen_qa_dataset,
+             "classification": gen_cls_dataset}
 
 
 @pytest.fixture(scope="module")
@@ -183,6 +186,51 @@ def test_finetune_rejects_bad_task_and_empty_data(vocab, model_cfg):
         finetune("tagging", [], [], vocab, model_cfg, cfg)
 
 
+def test_finetune_leaves_its_init_checkpoint_unchanged(vocab, model_cfg, tmp_path):
+    docs = [ex.doc for ex in gen_form_dataset(SYNTH, 8)]
+    trainer = Pretrainer(docs, vocab, model_cfg,
+                         TrainConfig(steps=2, batch_size=4, eval_every=0,
+                                     heldout_every=0), PretrainConfig())
+    trainer.run()
+    ck = trainer.to_checkpoint()  # float32 arrays shared with the trainer
+    path = tmp_path / "pre.ckpt"
+    save_checkpoint(path, ck)
+    before = {k: v.copy() for k, v in ck.arrays.items()}
+    cfg = TrainConfig(steps=4, batch_size=2, seed=4, eval_every=0)  # float32 too
+
+    def two_finetunes(init_of):
+        out = []
+        for task in ("tagging", "classification"):
+            train, eval_ = split_train_eval(TASK_DATA[task](SYNTH, 10))
+            out.append(finetune(task, train, eval_, vocab, model_cfg, cfg,
+                                init=init_of()))
+        return out
+
+    shared = two_finetunes(lambda: ck)
+    for name, arr in before.items():
+        assert np.array_equal(ck.arrays[name], arr), name
+        assert np.array_equal(trainer.params[name].data, arr), name
+    loaded = two_finetunes(lambda: load_checkpoint(path))
+    for (p1, r1), (p2, r2) in zip(shared, loaded):
+        assert r1 == r2
+        assert all(np.array_equal(p1[k].data, p2[k].data) for k in p1)
+
+
+@pytest.mark.parametrize("task", TASKS)
+def test_finetune_with_dropout_is_seeded(task, vocab, model_cfg):
+    train, eval_ = split_train_eval(TASK_DATA[task](SYNTH, 10))
+    cfg = TrainConfig(steps=4, batch_size=2, seed=3, eval_every=0,
+                      precision="float64")
+    dropped = dataclasses.replace(model_cfg, dropout=0.1)
+    (a, report_a), (b, report_b), (plain, _) = [
+        finetune(task, train, eval_, vocab, mc, cfg)
+        for mc in (dropped, dropped, model_cfg)
+    ]
+    assert report_a == report_b
+    assert all(np.array_equal(a[k].data, b[k].data) for k in a)
+    assert any(not np.array_equal(a[k].data, plain[k].data) for k in a)
+
+
 # -- forward-only paths build no autograd graph --------------------------------
 
 
@@ -212,10 +260,9 @@ def test_qa_predict_answer_without_graph_matches_graph_forward(
 def test_evaluate_without_graph_matches_graph_forward(
         task, vocab, model_cfg, graph_free_vs_graph):
     params = prepare_finetune_params(model_cfg, task, None, seed=3)
-    gen = {"tagging": gen_form_dataset, "qa": gen_qa_dataset,
-           "classification": gen_cls_dataset}[task]
     cfg = TrainConfig(steps=1, batch_size=2, precision="float64")
     report = graph_free_vs_graph(
-        lambda: evaluate(task, params, gen(SYNTH, 5), vocab, model_cfg, cfg))
+        lambda: evaluate(task, params, TASK_DATA[task](SYNTH, 5), vocab,
+                         model_cfg, cfg))
     assert report
     assert all(p.grad is None and p.requires_grad for p in params.values())

@@ -1,16 +1,19 @@
 """Training loop: schedule shape, batch ordering, loss movement,
 determinism, and checkpoint resume."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from cellformer import model as M
 from cellformer.checkpoint import load_checkpoint, save_checkpoint
+from cellformer.documents import stack_batch
 from cellformer.model import ModelConfig
 from cellformer.pretrain import PretrainConfig, derive_rng, pretrain_loss
 from cellformer.synth import SynthConfig, gen_pretrain_doc, vocab_words
 from cellformer.trainer import (
-    IndexSampler, Pretrainer, TrainConfig, lr_at, stack_attention,
+    IndexSampler, Pretrainer, TrainConfig, lr_at, pretrain_batch_loss,
 )
 from cellformer.vocab import build_vocab
 
@@ -80,13 +83,11 @@ def test_masked_row_loss_equals_the_full_vocabulary_projection():
                             heldout_every=0, precision="float64")
     trainer = Pretrainer(docs, vocab, model_cfg, train_cfg, PretrainConfig())
     examples = trainer._batch_examples(0)
-    loss, metrics = trainer._forward_loss(examples)
-
     params = trainer.params
-    ids = np.stack([e.input_ids for e in examples])
-    boxes = np.stack([e.boxes for e in examples])
-    attn = stack_attention([e.length for e in examples], model_cfg.max_len)
-    hidden = M.encode(params, model_cfg, ids, boxes, attn)
+    loss, metrics = pretrain_batch_loss(params, model_cfg, PretrainConfig(),
+                                        examples, True)
+
+    hidden = M.encode(params, model_cfg, *stack_batch(examples))
     full, _ = pretrain_loss(
         M.head_mlm(params, hidden), M.head_cpc(params, hidden),
         np.stack([e.mvlm_labels for e in examples]),
@@ -132,6 +133,30 @@ def test_resume_matches_uninterrupted_run(tmp_path):
     # schedule depends only on (step, cfg), so the tail replays exactly
     assert short_hist == full[:20]
     assert resumed_hist == full[20:]
+
+
+def test_dropout_training_is_seeded_and_resumable(tmp_path):
+    docs, vocab, model_cfg = tiny_setup(12)
+    dropped = dataclasses.replace(model_cfg, dropout=0.1)
+    cfg = TrainConfig(steps=10, batch_size=4, lr=3e-3, seed=9, eval_every=5,
+                      heldout_every=6, precision="float64")
+    full = Pretrainer(docs, vocab, dropped, cfg, PretrainConfig())
+    history = full.run()
+    assert history == Pretrainer(docs, vocab, dropped, cfg, PretrainConfig()).run()
+    assert history != Pretrainer(docs, vocab, model_cfg, cfg, PretrainConfig()).run()
+
+    short = Pretrainer(docs, vocab, dropped, cfg, PretrainConfig())
+    short.run(stop_after=6)
+    path = tmp_path / "mid.ckpt"
+    save_checkpoint(path, short.to_checkpoint(step=6))
+    resumed = Pretrainer(docs, vocab, dropped, cfg, PretrainConfig(),
+                         resume=load_checkpoint(path))
+    assert resumed.run() == history[6:]
+
+    # the held-out evaluation runs without dropout
+    ev = full.evaluate_heldout()
+    full.model_cfg = model_cfg
+    assert full.evaluate_heldout() == ev
 
 
 def test_resume_requires_matching_precision(tmp_path):
