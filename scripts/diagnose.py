@@ -125,7 +125,8 @@ def mvlm_by_role(ckpt_path, seed, n_docs=200):
     for i in range(n_docs):
         layout = _gen_form(synth, derive_rng(seed, "diag", i), f"g{i}")
         seq = encode_document(layout.doc, vocab, mc.max_len, mc.layout_mode)
-        ex = make_pretrain_example(seq, pre, len(vocab), derive_rng(seed, "dm", i))
+        ex = make_pretrain_example(seq, pre, len(vocab), mc.num_areas,
+                                   derive_rng(seed, "dm", i))
         # map serialized cell index -> role
         order = sorted(range(len(layout.doc.cells)),
                        key=lambda ci: (layout.doc.cells[ci].box[1],

@@ -32,10 +32,6 @@ def set_dtype(dtype) -> None:
     _DTYPE = dtype.type
 
 
-def get_dtype():
-    return _DTYPE
-
-
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     """Reduce a broadcasted gradient back to `shape` by summing the
     broadcast axes."""

@@ -19,7 +19,7 @@ from .model import ModelConfig, heads_present, parameter_shapes
 from .optim import AdamState
 
 MAGIC = "CELLFORMER-CKPT"
-VERSION = 1
+VERSION = 2
 
 _DTYPE_CODES = {"float64": "<f8", "float32": "<f4"}
 
@@ -50,14 +50,11 @@ class Checkpoint:
     adam: Optional[AdamState] = None
     precision: str = "float64"
 
-    def parameters(self, dtype=None) -> dict[str, Tensor]:
-        """Materialize trainable tensors (cast to the engine default dtype
-        unless told otherwise)."""
-        out = {}
-        for name in sorted(self.arrays):
-            data = self.arrays[name] if dtype is None else self.arrays[name].astype(dtype)
-            out[name] = Tensor(data, requires_grad=True)
-        return out
+    def parameters(self) -> dict[str, Tensor]:
+        """Trainable tensors in the engine's dtype over copies of the
+        arrays: training them leaves the checkpoint as it is."""
+        return {name: Tensor(self.arrays[name].copy(), requires_grad=True)
+                for name in sorted(self.arrays)}
 
 
 def save_checkpoint(path, ckpt: Checkpoint) -> None:

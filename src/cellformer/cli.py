@@ -57,14 +57,12 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _add_dataclass_flags(parser, cls, skip=(), seen=None):
+def _add_dataclass_flags(parser, cls, skip=()):
     """One string-valued flag per dataclass field; coercion happens later in
     apply_settings so files and flags share one type path."""
-    seen = seen if seen is not None else set()
     for f in dataclasses.fields(cls):
-        if f.name in skip or f.name in seen:
+        if f.name in skip:
             continue
-        seen.add(f.name)
         parser.add_argument(
             "--" + f.name.replace("_", "-"),
             dest=f.name,
@@ -72,21 +70,18 @@ def _add_dataclass_flags(parser, cls, skip=(), seen=None):
             metavar="V",
             help=f"{cls.__name__}.{f.name} (default {f.default!r})",
         )
-    return seen
 
 
-def _collect_settings(args, field_names) -> dict[str, str]:
-    ns = vars(args)
-    return {name: ns[name] for name in field_names if name in ns}
-
-
-def _resolve(instances, args, field_names, reject=None):
-    """defaults -> config file -> explicit flags."""
+def _resolve(instances, args, reject=None):
+    """defaults -> config file -> explicit flags, for the fields of
+    `instances`."""
     if getattr(args, "config", None):
         instances = apply_settings(
             instances, parse_kv_file(args.config), str(args.config), reject
         )
-    flags = _collect_settings(args, field_names)
+    ns = vars(args)
+    flags = {f.name: ns[f.name] for inst in instances
+             for f in dataclasses.fields(inst) if f.name in ns}
     return apply_settings(instances, flags, "command line", reject)
 
 
@@ -94,13 +89,6 @@ def _print_config(sections: dict) -> None:
     print("resolved configuration:")
     for line in config_lines(sections):
         print("  " + line)
-
-
-def _int_flag(value, name) -> int:
-    try:
-        return int(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"--{name} expects an integer, got {value!r}") from None
 
 
 def _load_vocab(path) -> Vocab:
@@ -116,7 +104,7 @@ def _load_vocab(path) -> Vocab:
 
 
 def cmd_gen_corpus(args) -> int:
-    (synth_cfg,) = _resolve([SynthConfig()], args, _SYNTH_FIELDS)
+    (synth_cfg,) = _resolve([SynthConfig()], args)
     if synth_cfg.num_docs <= 0:
         raise ConfigError("num_docs must be positive")
     _print_config({"corpus": synth_cfg})
@@ -161,10 +149,7 @@ def _pretrain_configs(args, vocab):
     train_cfg = TrainConfig()
     pre_cfg = PretrainConfig()
     reject = {"vocab_size": "derived from the vocabulary file"}
-    model_cfg, train_cfg, pre_cfg = _resolve(
-        [model_cfg, train_cfg, pre_cfg], args, _PRETRAIN_FIELDS, reject
-    )
-    return model_cfg, train_cfg, pre_cfg
+    return _resolve([model_cfg, train_cfg, pre_cfg], args, reject)
 
 
 def cmd_pretrain(args) -> int:
@@ -187,10 +172,15 @@ def cmd_pretrain(args) -> int:
     _print_config({"model": model_cfg, "train": train_cfg, "objectives": pre_cfg})
     print(f"cpc={args.cpc}")
 
+    try:
+        trainer = Pretrainer(docs, vocab, model_cfg, train_cfg, pre_cfg,
+                             use_cpc=use_cpc, resume=resume)
+    except IngestError:
+        raise
+    except ValueError as e:  # a setting or the resumed checkpoint does not fit
+        raise ConfigError(str(e)) from None
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    trainer = Pretrainer(docs, vocab, model_cfg, train_cfg, pre_cfg,
-                         use_cpc=use_cpc, resume=resume)
     stop_after = train_cfg.stop_after or None
     with MetricsLog(out / "metrics.jsonl") as mlog, \
          MetricsLog(out / "eval.jsonl") as elog:
@@ -229,19 +219,17 @@ def cmd_finetune(args) -> int:
             file_vocab = _load_vocab(args.vocab)
             if file_vocab.id_to_token != vocab.id_to_token:
                 raise ConfigError("--vocab differs from the checkpoint vocabulary")
-        model_cfg = init.model_config
         reject = {f.name: "fixed by the checkpoint's model config"
                   for f in dataclasses.fields(ModelConfig)}
-        (train_cfg,) = _resolve([TrainConfig()], args, _FINETUNE_FIELDS, reject)
+        model_cfg, train_cfg = _resolve([init.model_config, TrainConfig()], args,
+                                        reject)
     else:
         if not args.vocab:
             raise ConfigError("--vocab is required when --init none")
         vocab = _load_vocab(args.vocab)
         model_cfg = ModelConfig(vocab_size=len(vocab))
         reject = {"vocab_size": "derived from the vocabulary file"}
-        model_cfg, train_cfg = _resolve(
-            [model_cfg, TrainConfig()], args, _FINETUNE_FIELDS, reject
-        )
+        model_cfg, train_cfg = _resolve([model_cfg, TrainConfig()], args, reject)
 
     examples = _read_task_examples(task, args.docs, args.labels)
     train_set, eval_set = split_train_eval(examples)
@@ -306,13 +294,11 @@ def cmd_ablate(args) -> int:
               "steps": "use pretrain_steps / finetune_steps for ablation",
               "layout_mode": "chosen per ablation variant"}
     model_cfg, train_cfg, pre_cfg = _resolve(
-        [model_cfg, train_cfg, pre_cfg], args, _PRETRAIN_FIELDS, reject
+        [model_cfg, train_cfg, pre_cfg], args, reject
     )
-    pretrain_steps = _int_flag(args.pretrain_steps, "pretrain-steps")
-    finetune_steps = _int_flag(args.finetune_steps, "finetune-steps")
     _print_config({"model": model_cfg, "train": train_cfg, "objectives": pre_cfg})
-    print(f"variants={','.join(variants)} pretrain_steps={pretrain_steps} "
-          f"finetune_steps={finetune_steps}")
+    print(f"variants={','.join(variants)} pretrain_steps={args.pretrain_steps} "
+          f"finetune_steps={args.finetune_steps}")
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -322,8 +308,8 @@ def cmd_ablate(args) -> int:
     # Each variant runs in its own worker process, side by side with the
     # others. Every variant is seeded on its own and every worker is set up
     # alike, so a variant's results do not depend on what runs beside it.
-    common = (docs, vocab, model_cfg, train_cfg, pre_cfg, pretrain_steps,
-              finetune_steps, train_set, eval_set)
+    common = (docs, vocab, model_cfg, train_cfg, pre_cfg, args.pretrain_steps,
+              args.finetune_steps, train_set, eval_set)
     context = multiprocessing.get_context("spawn")
     with _one_blas_thread_per_worker(), ProcessPoolExecutor(
         max_workers=len(variants), mp_context=context,
@@ -454,7 +440,7 @@ def _ordering_note(results: dict) -> str:
 
 
 def cmd_grad_check(args) -> int:
-    passed, report = run_grad_check(seed=_int_flag(args.seed, "seed"))
+    passed, report = run_grad_check(seed=args.seed)
     print(f"{'parameter group':<24}{'max rel err':>14}{'probes':>8}")
     for name in sorted(report):
         err, n = report[name]
@@ -467,11 +453,6 @@ def cmd_grad_check(args) -> int:
 # -- parser ---------------------------------------------------------------------
 
 
-_SYNTH_FIELDS: set = set()
-_PRETRAIN_FIELDS: set = set()
-_FINETUNE_FIELDS: set = set()
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="cellformer",
                      description="Layout-aware document LM: corpus, training, "
@@ -482,7 +463,7 @@ def build_parser() -> argparse.ArgumentParser:
                        add_help=True)
     p.add_argument("--config", help="key=value config file")
     p.add_argument("--out", required=True, help="output directory")
-    _SYNTH_FIELDS.update(_add_dataclass_flags(p, SynthConfig))
+    _add_dataclass_flags(p, SynthConfig)
     p.set_defaults(handler=cmd_gen_corpus)
 
     p = sub.add_parser("pretrain", help="run MVLM+CPC pre-training")
@@ -493,10 +474,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cpc", choices=("on", "off"), default="on",
                    help="train the cell-position objective")
     p.add_argument("--resume", help="checkpoint to resume from")
-    seen = _add_dataclass_flags(p, ModelConfig, skip=("vocab_size",))
-    seen = _add_dataclass_flags(p, TrainConfig, seen=seen)
-    _PRETRAIN_FIELDS.update(_add_dataclass_flags(p, PretrainConfig, seen=seen))
-    _PRETRAIN_FIELDS.update(seen)
+    _add_dataclass_flags(p, ModelConfig, skip=("vocab_size",))
+    _add_dataclass_flags(p, TrainConfig)
+    _add_dataclass_flags(p, PretrainConfig)
     p.set_defaults(handler=cmd_pretrain)
 
     p = sub.add_parser("finetune", help="fine-tune on a task dataset")
@@ -508,9 +488,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="checkpoint path, or 'none' for random init")
     p.add_argument("--vocab", help="vocabulary file (required with --init none)")
     p.add_argument("--out", required=True, help="output directory")
-    seen = _add_dataclass_flags(p, ModelConfig, skip=("vocab_size",))
-    _FINETUNE_FIELDS.update(_add_dataclass_flags(p, TrainConfig, seen=seen))
-    _FINETUNE_FIELDS.update(seen)
+    _add_dataclass_flags(p, ModelConfig, skip=("vocab_size",))
+    _add_dataclass_flags(p, TrainConfig)
     p.set_defaults(handler=cmd_finetune)
 
     p = sub.add_parser("ablate", help="run the ablation matrix end to end")
@@ -522,16 +501,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--variants", default=",".join(ABLATION_VARIANTS),
                    help="comma list: " + ",".join(ABLATION_VARIANTS))
-    p.add_argument("--pretrain-steps", default="1200")
-    p.add_argument("--finetune-steps", default="400")
-    seen = _add_dataclass_flags(p, ModelConfig,
-                                skip=("vocab_size", "layout_mode"))
-    seen = _add_dataclass_flags(p, TrainConfig, skip=("steps",), seen=seen)
-    _add_dataclass_flags(p, PretrainConfig, seen=seen)
+    p.add_argument("--pretrain-steps", type=int, default=1200)
+    p.add_argument("--finetune-steps", type=int, default=400)
+    _add_dataclass_flags(p, ModelConfig, skip=("vocab_size", "layout_mode"))
+    _add_dataclass_flags(p, TrainConfig, skip=("steps",))
+    _add_dataclass_flags(p, PretrainConfig)
     p.set_defaults(handler=cmd_ablate)
 
     p = sub.add_parser("grad-check", help="finite-difference gradient oracle")
-    p.add_argument("--seed", default="0")
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(handler=cmd_grad_check)
 
     return parser

@@ -69,8 +69,10 @@ def apply_settings(instances: list, settings: dict[str, str], source: str,
                    reject: dict[str, str] | None = None) -> list:
     """Route string settings onto one or more dataclass instances.
 
-    A key may match fields on several instances (they all get it). Unknown
-    keys, and keys listed in `reject`, raise ConfigError naming the source.
+    A key is set on every instance that has a field of that name (the
+    command-line config classes share no field name, so that is one).
+    Unknown keys, and keys listed in `reject`, raise ConfigError naming the
+    source.
     """
     field_types = []
     for inst in instances:

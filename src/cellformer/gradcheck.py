@@ -137,13 +137,14 @@ def run_grad_check(seed: int = 0) -> tuple[bool, dict[str, tuple[float, int]]]:
     tag_data = gen_form_dataset(synth_cfg, 2)
     seqs = [encode_document(ex.doc, vocab, model_cfg.max_len) for ex in tag_data]
     examples = [
-        make_pretrain_example(s, pre_cfg, len(vocab), derive_rng(seed, s.doc_id, 0))
+        make_pretrain_example(s, pre_cfg, len(vocab), model_cfg.num_areas,
+                              derive_rng(seed, s.doc_id, 0))
         for s in seqs
     ]
     params = M.init_parameters(model_cfg, derive_rng(seed, "p0"), heads=("mlm", "cpc"))
 
     def pretrain_fn(params):
-        return pretrain_batch_loss(params, model_cfg, pre_cfg, examples, True)[0]
+        return pretrain_batch_loss(params, model_cfg, examples, True)[0]
 
     _check_loss("mvlm+cpc", pretrain_fn, params, report, seed)
 

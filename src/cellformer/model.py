@@ -16,11 +16,12 @@ import numpy as np
 
 from . import autograd as ag
 from .autograd import Tensor
-from .documents import CELL_LEVEL, normalize_layout_mode
+from .documents import CELL_LEVEL, COORD_MAX, normalize_layout_mode
+from .metrics import TAG_LABELS
 
 MASK_NEG = -1e9
 
-TAG_HEAD_SIZE = 13  # O + {B,I,E,S} x {question, answer, header}
+COORD_VOCAB = COORD_MAX + 1  # rows of each 2D-position table
 
 
 @dataclass
@@ -31,9 +32,7 @@ class ModelConfig:
     hidden_d: int = 64
     ffn_d: int = 256
     max_len: int = 128
-    coord_vocab: int = 1001
     num_areas: int = 16
-    num_tag_labels: int = TAG_HEAD_SIZE
     num_doc_classes: int = 3
     layout_mode: str = CELL_LEVEL
     dropout: float = 0.0
@@ -77,8 +76,8 @@ def parameter_shapes(config: ModelConfig, heads=PRETRAIN_HEADS) -> dict[str, tup
     shapes: dict[str, tuple] = {
         "word_emb": (config.vocab_size, d),
         "pos1d_emb": (config.max_len, d),
-        "x_emb": (config.coord_vocab, d),
-        "y_emb": (config.coord_vocab, d),
+        "x_emb": (COORD_VOCAB, d),
+        "y_emb": (COORD_VOCAB, d),
         "emb_ln_g": (d,),
         "emb_ln_b": (d,),
     }
@@ -101,8 +100,8 @@ def parameter_shapes(config: ModelConfig, heads=PRETRAIN_HEADS) -> dict[str, tup
         shapes["cpc_w"] = (d, config.num_areas)
         shapes["cpc_b"] = (config.num_areas,)
     if "tag" in heads:
-        shapes["tag_w"] = (d, config.num_tag_labels)
-        shapes["tag_b"] = (config.num_tag_labels,)
+        shapes["tag_w"] = (d, len(TAG_LABELS))
+        shapes["tag_b"] = (len(TAG_LABELS),)
     if "span" in heads:
         shapes["span_w"] = (d, 2)
         shapes["span_b"] = (2,)
@@ -149,7 +148,7 @@ def count_parameters(params: dict[str, Tensor]) -> int:
 
 def expected_parameter_count(config: ModelConfig, heads=PRETRAIN_HEADS) -> int:
     d, f = config.hidden_d, config.ffn_d
-    total = (config.vocab_size + config.max_len + 2 * config.coord_vocab) * d + 2 * d
+    total = (config.vocab_size + config.max_len + 2 * COORD_VOCAB) * d + 2 * d
     per_layer = 4 * (d * d + d) + (d * f + f) + (f * d + d) + 4 * d
     total += config.num_layers * per_layer
     if "mlm" in heads:
@@ -157,7 +156,7 @@ def expected_parameter_count(config: ModelConfig, heads=PRETRAIN_HEADS) -> int:
     if "cpc" in heads:
         total += d * config.num_areas + config.num_areas
     if "tag" in heads:
-        total += d * config.num_tag_labels + config.num_tag_labels
+        total += d * len(TAG_LABELS) + len(TAG_LABELS)
     if "span" in heads:
         total += d * 2 + 2
     if "cls" in heads:

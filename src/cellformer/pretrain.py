@@ -33,27 +33,25 @@ def derive_rng(*parts) -> np.random.Generator:
 
 @dataclass
 class PretrainConfig:
+    """Corruption rates of the two objectives. A selected token is masked
+    mask_token_frac of the time, randomized random_frac of the time and
+    kept otherwise; a selected cell's boxes are zeroed zero_box_frac of the
+    time and kept otherwise. The area count N belongs to the model config:
+    it sizes the position head."""
+
     mask_rate: float = 0.15
     mask_token_frac: float = 0.8
     random_frac: float = 0.1
-    keep_frac: float = 0.1
     cell_select_rate: float = 0.15
     zero_box_frac: float = 0.9
-    keep_box_frac: float = 0.1
-    num_areas: int = 16
-    ignore_label: int = IGNORE_LABEL
-    mvlm_weight: float = 1.0
-    cpc_weight: float = 1.0
-    exact_count: bool = False  # fixed-count sampling instead of Bernoulli
 
     def __post_init__(self):
-        if abs(self.mask_token_frac + self.random_frac + self.keep_frac - 1.0) > 1e-9:
-            raise ValueError("mask/random/keep fractions must sum to 1")
-        if abs(self.zero_box_frac + self.keep_box_frac - 1.0) > 1e-9:
-            raise ValueError("zero/keep box fractions must sum to 1")
-        grid = math.isqrt(self.num_areas)
-        if grid * grid != self.num_areas:
-            raise ValueError(f"num_areas {self.num_areas} is not a perfect square")
+        if not (0.0 <= self.mask_token_frac and 0.0 <= self.random_frac
+                and self.mask_token_frac + self.random_frac <= 1.0):
+            raise ValueError("mask_token_frac and random_frac must be non-negative "
+                             "and sum to at most 1")
+        if not 0.0 <= self.zero_box_frac <= 1.0:
+            raise ValueError("zero_box_frac must be in [0, 1]")
 
 
 def area_of(box, n_areas: int) -> int:
@@ -104,14 +102,7 @@ def sample_mvlm(
     if not eligible.any():
         raise ValueError(f"document {seq.doc_id} has no maskable tokens")
 
-    if cfg.exact_count:
-        idx = np.nonzero(eligible)[0]
-        count = min(max(1, int(round(cfg.mask_rate * len(idx)))), len(idx))
-        chosen = rng.choice(idx, size=count, replace=False)
-        selected = np.zeros(n, dtype=bool)
-        selected[chosen] = True
-    else:
-        selected = eligible & (rng.random(n) < cfg.mask_rate)
+    selected = eligible & (rng.random(n) < cfg.mask_rate)
 
     # fixed draw counts keep the stream layout independent of the selection
     action = rng.random(n)
@@ -129,7 +120,7 @@ def sample_mvlm(
     token_ids[to_mask] = MASK_ID
     token_ids[to_random] = random_ids[to_random]
 
-    labels = np.full(n, cfg.ignore_label, dtype=np.int64)
+    labels = np.full(n, IGNORE_LABEL, dtype=np.int64)
     positions = np.nonzero(selected)[0]
     labels[positions] = seq.token_ids[positions]
     return token_ids, labels, positions
@@ -139,13 +130,15 @@ def sample_cpc(
     seq: TokenizedSequence,
     masked_token_positions: np.ndarray,
     cfg: PretrainConfig,
+    num_areas: int,
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Select ~cell_select_rate of the cells that contain no masked token;
     zero the selected cells' token boxes zero_box_frac of the time.
 
-    Labels derive from the ORIGINAL cell box, at every token of a selected
-    cell. Returns (boxes after zeroing, labels, selected cell indices).
+    Labels are the area (of `num_areas`) of the ORIGINAL cell box, at every
+    token of a selected cell. Returns (boxes after zeroing, labels, selected
+    cell indices).
     """
     masked_cells = set(seq.cell_index[masked_token_positions].tolist())
     masked_cells.discard(-1)
@@ -154,7 +147,7 @@ def sample_cpc(
                         dtype=np.int64)
 
     boxes = seq.boxes.copy()
-    labels = np.full(len(seq.token_ids), cfg.ignore_label, dtype=np.int64)
+    labels = np.full(len(seq.token_ids), IGNORE_LABEL, dtype=np.int64)
     if len(eligible) == 0:
         return boxes, labels, np.empty(0, dtype=np.int64)
 
@@ -163,7 +156,7 @@ def sample_cpc(
     selected = eligible[pick]
     for cell, zero_u in zip(selected, zero_draw[pick]):
         positions = seq.cell_index == cell
-        labels[positions] = area_of(seq.cell_boxes[cell], cfg.num_areas)
+        labels[positions] = area_of(seq.cell_boxes[cell], num_areas)
         if zero_u < cfg.zero_box_frac:
             boxes[positions] = 0
     return boxes, labels, selected
@@ -173,11 +166,13 @@ def make_pretrain_example(
     seq: TokenizedSequence,
     cfg: PretrainConfig,
     vocab_size: int,
+    num_areas: int,
     rng: np.random.Generator,
 ) -> PretrainExample:
-    """Apply both corruptions to one encoded document."""
+    """Apply both corruptions to one encoded document; `vocab_size` and
+    `num_areas` are the model's."""
     token_ids, mvlm_labels, positions = sample_mvlm(seq, cfg, vocab_size, rng)
-    boxes, cpc_labels, cells = sample_cpc(seq, positions, cfg, rng)
+    boxes, cpc_labels, cells = sample_cpc(seq, positions, cfg, num_areas, rng)
     return PretrainExample(
         doc_id=seq.doc_id,
         token_ids=token_ids,
@@ -190,13 +185,12 @@ def make_pretrain_example(
     )
 
 
-def labeled_rows(hidden: Tensor, labels: np.ndarray,
-                 ignore_label: int = IGNORE_LABEL) -> tuple[Tensor, np.ndarray]:
+def labeled_rows(hidden: Tensor, labels: np.ndarray) -> tuple[Tensor, np.ndarray]:
     """Hidden states [B, L, d] and labels [B, L] cut down to the labeled
     positions, flattened to [n, d] and [n]. Unlabeled positions add nothing
     to a cross-entropy, so a head need not run on them."""
     labels = np.asarray(labels).reshape(-1)
-    rows = np.flatnonzero(labels != ignore_label)
+    rows = np.flatnonzero(labels != IGNORE_LABEL)
     flat = hidden.reshape(-1, hidden.shape[-1])
     return embedding_gather(flat, rows), labels[rows]
 
@@ -206,19 +200,18 @@ def pretrain_loss(
     cpc_logits: Tensor | None,
     mvlm_labels: np.ndarray,
     cpc_labels: np.ndarray | None,
-    cfg: PretrainConfig,
 ) -> tuple[Tensor, dict]:
-    """Weighted sum of the two cross-entropies plus per-component metrics.
+    """Sum of the two cross-entropies plus per-component metrics.
 
     Either component with no labeled positions contributes exactly zero.
     """
-    loss = softmax_cross_entropy(mlm_logits, mvlm_labels, cfg.ignore_label)
+    loss = softmax_cross_entropy(mlm_logits, mvlm_labels, IGNORE_LABEL)
     metrics = {"mvlm_loss": loss.item()}
-    total = loss * cfg.mvlm_weight
+    total = loss
     if cpc_logits is not None and cpc_labels is not None:
-        cpc = softmax_cross_entropy(cpc_logits, cpc_labels, cfg.ignore_label)
-        total = total + cpc * cfg.cpc_weight
-        labeled = cpc_labels != cfg.ignore_label
+        cpc = softmax_cross_entropy(cpc_logits, cpc_labels, IGNORE_LABEL)
+        total = total + cpc
+        labeled = cpc_labels != IGNORE_LABEL
         n_labeled = int(labeled.sum())
         if n_labeled:
             pred = np.argmax(cpc_logits.data, axis=-1)

@@ -24,7 +24,7 @@ from .documents import (
     TokenizedSequence, cell_tokens, encode_document, normalize_document, serialize_cells,
     stack_batch,
 )
-from .metrics import TAG_LABELS, TAG_TO_ID, anls_single, extract_span, word_f1
+from .metrics import TAG_LABELS, TAG_TO_ID, anls, extract_span, word_f1
 from .model import MASK_NEG
 from .optim import adam_step, init_adam
 from .pretrain import IGNORE_LABEL, derive_rng
@@ -54,15 +54,9 @@ def prepare_finetune_params(
     if init is None:
         return fresh
     encoder_names = set(M.parameter_shapes(model_cfg, heads=()))
-    params: dict[str, Tensor] = {}
-    for name in sorted(fresh):
-        if name in encoder_names:
-            # a copy: the optimizer updates in place, and the checkpoint
-            # (or the trainer that produced it) must keep its weights
-            params[name] = Tensor(init.arrays[name].copy(), requires_grad=True)
-        else:
-            params[name] = fresh[name]
-    return params
+    loaded = init.parameters()  # copies: the checkpoint keeps its weights
+    return {name: loaded[name] if name in encoder_names else fresh[name]
+            for name in sorted(fresh)}
 
 
 # -- tagging -------------------------------------------------------------------
@@ -374,13 +368,13 @@ def evaluate(
         precision, recall, f1 = word_f1(flat_pred, flat_gold)
         return {"precision": precision, "recall": recall, "f1": f1}
     if task == "qa":
-        scores = []
-        for ex in eval_examples:
-            windows, _ = qa_windows(ex, vocab, model_cfg)
-            text = qa_predict_answer(params, model_cfg, vocab, windows,
-                                     train_cfg.max_answer_len)
-            scores.append(anls_single(text, ex.answers))
-        return {"anls": float(np.mean(scores))}
+        texts = [
+            qa_predict_answer(params, model_cfg, vocab,
+                              qa_windows(ex, vocab, model_cfg)[0],
+                              train_cfg.max_answer_len)
+            for ex in eval_examples
+        ]
+        return {"anls": anls(texts, [ex.answers for ex in eval_examples])}
     if task == "classification":
         seqs = _encode_docs([ex.doc for ex in eval_examples], vocab, model_cfg)
         logits = _head_logits(params, model_cfg, seqs, train_cfg.batch_size,

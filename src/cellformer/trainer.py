@@ -8,6 +8,7 @@ corruption sequence of an uninterrupted run.
 
 from __future__ import annotations
 
+import copy
 import logging
 import time
 from dataclasses import dataclass
@@ -100,7 +101,6 @@ class IndexSampler:
 def pretrain_batch_loss(
     params: dict[str, Tensor],
     model_cfg: M.ModelConfig,
-    pre_cfg: PretrainConfig,
     examples: Sequence[PretrainExample],
     use_cpc: bool,
     rng: Optional[np.random.Generator] = None,
@@ -109,16 +109,14 @@ def pretrain_batch_loss(
     examples; `rng` draws the dropout masks of a training forward."""
     hidden = M.encode(params, model_cfg, *stack_batch(examples), rng=rng)
     # the vocabulary projection runs on the masked positions alone
-    masked, mvlm_labels = labeled_rows(
-        hidden, np.stack([e.mvlm_labels for e in examples]), pre_cfg.ignore_label
-    )
+    masked, mvlm_labels = labeled_rows(hidden, np.stack([e.mvlm_labels for e in examples]))
     mlm_logits = M.head_mlm(params, masked)
     if use_cpc:
         cpc_logits = M.head_cpc(params, hidden)
         cpc_labels = np.stack([e.cpc_labels for e in examples])
     else:
         cpc_logits, cpc_labels = None, None
-    return pretrain_loss(mlm_logits, cpc_logits, mvlm_labels, cpc_labels, pre_cfg)
+    return pretrain_loss(mlm_logits, cpc_logits, mvlm_labels, cpc_labels)
 
 
 class Pretrainer:
@@ -168,8 +166,16 @@ class Pretrainer:
                     f"cannot resume a {resume.precision} checkpoint at "
                     f"{train_cfg.precision}; precision must match exactly"
                 )
+            found = M.heads_present(resume.arrays)
+            if found != heads:
+                raise ValueError(
+                    f"cannot resume a checkpoint with heads {found} with cpc "
+                    f"{'on' if use_cpc else 'off'}, which trains {heads}"
+                )
+            # copies: resuming leaves the checkpoint as it is
             self.params = resume.parameters()
-            self.adam = resume.adam if resume.adam is not None else init_adam(self.params)
+            self.adam = (init_adam(self.params) if resume.adam is None
+                         else copy.deepcopy(resume.adam))
             self.start_step = resume.step
             self.rng = np.random.Generator(np.random.PCG64())
             self.rng.bit_generator.state = resume.rng_state
@@ -181,7 +187,8 @@ class Pretrainer:
             seq = self.train_seqs[idx]
             rng = derive_rng(self.train_cfg.seed, seq.doc_id, epoch)
             examples.append(
-                make_pretrain_example(seq, self.pre_cfg, len(self.vocab), rng)
+                make_pretrain_example(seq, self.pre_cfg, len(self.vocab),
+                                      self.model_cfg.num_areas, rng)
             )
         return examples
 
@@ -196,13 +203,13 @@ class Pretrainer:
             chunk = self.heldout[lo:lo + bs]
             examples = [
                 make_pretrain_example(
-                    s, self.pre_cfg, len(self.vocab),
+                    s, self.pre_cfg, len(self.vocab), self.model_cfg.num_areas,
                     derive_rng(self.train_cfg.seed, s.doc_id, -1),
                 )
                 for s in chunk
             ]
-            _, metrics = pretrain_batch_loss(params, self.model_cfg, self.pre_cfg,
-                                             examples, self.use_cpc)
+            _, metrics = pretrain_batch_loss(params, self.model_cfg, examples,
+                                             self.use_cpc)
             losses.append(metrics["mvlm_loss"] * len(chunk))
             if self.use_cpc:
                 correct += metrics["cpc_correct"]
@@ -225,7 +232,7 @@ class Pretrainer:
             examples = self._batch_examples(step)
             lr = lr_at(step, self.train_cfg)
             loss, metrics = pretrain_batch_loss(
-                self.params, self.model_cfg, self.pre_cfg, examples, self.use_cpc,
+                self.params, self.model_cfg, examples, self.use_cpc,
                 rng=derive_rng(self.train_cfg.seed, "dropout", step),
             )
             zero_grads(self.params)

@@ -158,7 +158,7 @@ def test_criterion_2_sampler_statistics(pipe):
                 kept += 1
             else:
                 randomized += 1
-        boxes, cpc_labels, chosen = sample_cpc(seq, positions, cfg, rng)
+        boxes, cpc_labels, chosen = sample_cpc(seq, positions, cfg, 16, rng)
         masked_cells = {int(seq.cell_index[p]) for p in positions}
         present = len(np.unique(seq.cell_index[seq.cell_index >= 0]))
         cell_draws += present - len(masked_cells)

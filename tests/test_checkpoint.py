@@ -102,6 +102,18 @@ def test_wrong_magic_and_version_raise_version_error(tmp_path):
         load_checkpoint(path)
 
 
+def test_format_1_file_raises_version_error(tmp_path):
+    """Format 1 model configs listed coord_vocab and num_tag_labels; such a
+    file is refused by its version line, not reported as malformed."""
+    path = tmp_path / "v1.ckpt"
+    save_checkpoint(path, make_checkpoint())
+    rewrite_header(path, lambda h: h["model_config"].update(coord_vocab=1001,
+                                                           num_tag_labels=13))
+    blob = path.read_bytes()
+    path.write_bytes(b"CELLFORMER-CKPT 1\n" + blob.split(b"\n", 1)[1])
+    with pytest.raises(CheckpointVersionError, match="version 1, expected 2"):
+        load_checkpoint(path)
+
 def rewrite_header(path, edit):
     """Apply `edit` to the JSON header of a saved checkpoint in place."""
     magic, length, rest = path.read_bytes().split(b"\n", 2)

@@ -178,6 +178,57 @@ def test_resume_with_mismatched_model_config_errors(pipeline, tmp_path, capsys):
     assert "model config" in capsys.readouterr().err
 
 
+
+@pytest.mark.parametrize("cpc", ["on", "off"])
+def test_resume_with_other_heads_is_config_error(pipeline, tmp_path, capsys, cpc):
+    _, out, pre = pipeline
+    if cpc == "on":  # an MVLM-only checkpoint cannot resume with the CPC head
+        pre = tmp_path / "mlm"
+        assert main([
+            "pretrain", "--corpus", str(out / "pretrain_docs.jsonl"),
+            "--vocab", str(out / "vocab.txt"), "--out", str(pre),
+            "--steps", "8", "--batch-size", "4", "--cpc", "off",
+            "--eval-every", "0", "--seed", "11", "--stop-after", "2",
+        ] + TINY_MODEL) == 0
+    code = main([
+        "pretrain", "--corpus", str(out / "pretrain_docs.jsonl"),
+        "--vocab", str(out / "vocab.txt"), "--out", str(tmp_path / "r"),
+        "--steps", "10", "--batch-size", "4", "--cpc", cpc,
+        "--resume", str(pre / "checkpoint.ckpt"),
+    ] + TINY_MODEL)
+    assert code == 1
+    assert "heads" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
+
+
+def test_pretrain_mask_token_frac_alone_keeps_the_remainder(pipeline, tmp_path,
+                                                            capsys):
+    _, out, _ = pipeline
+    code = main([
+        "pretrain", "--corpus", str(out / "pretrain_docs.jsonl"),
+        "--vocab", str(out / "vocab.txt"), "--out", str(tmp_path / "m"),
+        "--steps", "2", "--batch-size", "4", "--eval-every", "0",
+        "--seed", "11", "--mask-token-frac", "0.7",
+    ] + TINY_MODEL)
+    assert code == 0
+    assert "mask_token_frac=0.7" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("flag", [
+    ["--keep-frac", "0.1"], ["--ignore-label", "5"], ["--coord-vocab", "500"],
+    ["--num-tag-labels", "5"], ["--exact-count", "true"],
+], ids=lambda f: f[0])
+def test_removed_flags_are_rejected(pipeline, tmp_path, capsys, flag):
+    _, out, _ = pipeline
+    code = main([
+        "pretrain", "--corpus", str(out / "pretrain_docs.jsonl"),
+        "--vocab", str(out / "vocab.txt"), "--out", str(tmp_path / "x"),
+        "--steps", "2",
+    ] + TINY_MODEL + flag)
+    assert code == 1
+    assert flag[0] in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 

@@ -133,7 +133,7 @@ def test_mvlm_leaves_boxes_untouched_and_specials_unselected():
         assert np.array_equal(seq.boxes, before)
         assert all(seq.cell_index[p] >= 0 for p in positions)
         special = seq.cell_index < 0
-        assert np.all(labels[special] == cfg.ignore_label)
+        assert np.all(labels[special] == IGNORE_LABEL)
         assert np.array_equal(ids[special], seq.token_ids[special])
 
 
@@ -141,7 +141,7 @@ def test_mvlm_labels_exactly_at_selected_positions():
     cfg = PretrainConfig()
     seq = make_seq()
     ids, labels, positions = sample_mvlm(seq, cfg, VOCAB_SIZE, derive_rng(2, 0))
-    labeled = set(np.nonzero(labels != cfg.ignore_label)[0].tolist())
+    labeled = set(np.nonzero(labels != IGNORE_LABEL)[0].tolist())
     assert labeled == set(positions.tolist())
     for p in positions:
         assert labels[p] == seq.token_ids[p]
@@ -155,16 +155,6 @@ def test_mvlm_forces_at_least_one_selection():
         assert len(positions) >= 1
 
 
-def test_mvlm_exact_count_mode():
-    cfg = PretrainConfig(exact_count=True)
-    seq = make_seq(n_cells=40, tokens_per_cell=5)
-    n_eligible = int(seq.content_mask().sum())
-    expected = round(0.15 * n_eligible)
-    for t in range(10):
-        _, _, positions = sample_mvlm(seq, cfg, VOCAB_SIZE, derive_rng(4, t))
-        assert len(positions) == expected
-
-
 # -- CPC sampling ------------------------------------------------------------------
 
 
@@ -174,7 +164,7 @@ def test_cpc_never_selects_masked_cells():
     for t in range(200):
         rng = derive_rng(5, t)
         _, _, positions = sample_mvlm(seq, cfg, VOCAB_SIZE, rng)
-        _, labels, cells = sample_cpc(seq, positions, cfg, rng)
+        _, labels, cells = sample_cpc(seq, positions, cfg, 16, rng)
         masked_cells = {int(seq.cell_index[p]) for p in positions}
         assert masked_cells.isdisjoint(cells.tolist())
         for c in cells:
@@ -190,7 +180,7 @@ def test_cpc_statistics():
     trials = 1200
     for t in range(trials):
         rng = derive_rng(6, t)
-        boxes, labels, cells = sample_cpc(seq, no_mask, cfg, rng)
+        boxes, labels, cells = sample_cpc(seq, no_mask, cfg, 16, rng)
         eligible += 50
         selected += len(cells)
         for c in cells:
@@ -202,10 +192,9 @@ def test_cpc_statistics():
 
 
 def test_cpc_labels_from_original_box_not_zeroed():
-    cfg = PretrainConfig(cell_select_rate=1.0, zero_box_frac=1.0,
-                         keep_box_frac=0.0)
+    cfg = PretrainConfig(cell_select_rate=1.0, zero_box_frac=1.0)
     seq = make_seq(n_cells=6)
-    boxes, labels, cells = sample_cpc(seq, np.empty(0, dtype=np.int64), cfg,
+    boxes, labels, cells = sample_cpc(seq, np.empty(0, dtype=np.int64), cfg, 16,
                                       derive_rng(7, 0))
     assert len(cells) == 6
     for c in cells:
@@ -235,17 +224,17 @@ def test_example_disjointness_and_label_conservation():
     cfg = PretrainConfig()
     seqs, vocab = synth_sequences(10)
     for t, seq in enumerate(seqs * 5):
-        ex = make_pretrain_example(seq, cfg, len(vocab), derive_rng(8, t))
+        ex = make_pretrain_example(seq, cfg, len(vocab), 16, derive_rng(8, t))
         mvlm_positions = set(ex.masked_token_positions.tolist())
         cpc_positions = set(
-            np.nonzero(ex.cpc_labels != cfg.ignore_label)[0].tolist()
+            np.nonzero(ex.cpc_labels != IGNORE_LABEL)[0].tolist()
         )
         assert mvlm_positions.isdisjoint(cpc_positions)
-        labeled = set(np.nonzero(ex.mvlm_labels != cfg.ignore_label)[0].tolist())
+        labeled = set(np.nonzero(ex.mvlm_labels != IGNORE_LABEL)[0].tolist())
         assert labeled == mvlm_positions
         special = seq.cell_index < 0
-        assert np.all(ex.mvlm_labels[special] == cfg.ignore_label)
-        assert np.all(ex.cpc_labels[special] == cfg.ignore_label)
+        assert np.all(ex.mvlm_labels[special] == IGNORE_LABEL)
+        assert np.all(ex.cpc_labels[special] == IGNORE_LABEL)
         # per-cell label uniformity
         for c in ex.selected_cell_indices:
             rows = seq.cell_index == c
@@ -257,8 +246,8 @@ def test_example_seeded_determinism():
     cfg = PretrainConfig()
     seqs, vocab = synth_sequences(3)
     for seq in seqs:
-        a = make_pretrain_example(seq, cfg, len(vocab), derive_rng(9, seq.doc_id))
-        b = make_pretrain_example(seq, cfg, len(vocab), derive_rng(9, seq.doc_id))
+        a = make_pretrain_example(seq, cfg, len(vocab), 16, derive_rng(9, seq.doc_id))
+        b = make_pretrain_example(seq, cfg, len(vocab), 16, derive_rng(9, seq.doc_id))
         for field in ("token_ids", "boxes", "mvlm_labels", "cpc_labels",
                       "masked_token_positions", "selected_cell_indices"):
             assert np.array_equal(getattr(a, field), getattr(b, field))
@@ -268,51 +257,54 @@ def test_example_seeded_determinism():
 
 
 def test_loss_without_cpc_labels_is_mvlm_alone():
-    cfg = PretrainConfig()
     rng = np.random.default_rng(12)
     mlm_logits = Tensor(rng.normal(size=(2, 6, 30)))
     cpc_logits = Tensor(rng.normal(size=(2, 6, 16)))
     labels = np.full((2, 6), IGNORE_LABEL)
     labels[0, 1] = 7
     empty = np.full((2, 6), IGNORE_LABEL)
-    loss, metrics = pretrain_loss(mlm_logits, cpc_logits, labels, empty, cfg)
+    loss, metrics = pretrain_loss(mlm_logits, cpc_logits, labels, empty)
     assert loss.item() == pytest.approx(metrics["mvlm_loss"])
     assert metrics["cpc_loss"] == 0.0
     assert metrics["cpc_labeled"] == 0
 
 
 def test_loss_uniform_cpc_logits_is_ln16():
-    cfg = PretrainConfig()
     mlm_logits = Tensor(np.zeros((1, 4, 30)))
     cpc_logits = Tensor(np.zeros((1, 4, 16)))
     mvlm = np.full((1, 4), IGNORE_LABEL)
     cpc = np.full((1, 4), IGNORE_LABEL)
     cpc[0, 2] = 5
-    _, metrics = pretrain_loss(mlm_logits, cpc_logits, mvlm, cpc, cfg)
+    _, metrics = pretrain_loss(mlm_logits, cpc_logits, mvlm, cpc)
     assert metrics["cpc_loss"] == pytest.approx(np.log(16), abs=1e-12)
 
 
 def test_loss_both_empty_is_zero():
-    cfg = PretrainConfig()
     loss, metrics = pretrain_loss(
         Tensor(np.zeros((1, 4, 30))), Tensor(np.zeros((1, 4, 16))),
-        np.full((1, 4), IGNORE_LABEL), np.full((1, 4), IGNORE_LABEL), cfg,
+        np.full((1, 4), IGNORE_LABEL), np.full((1, 4), IGNORE_LABEL),
     )
     assert loss.item() == 0.0
 
 
-def test_loss_weights_apply():
-    cfg = PretrainConfig(mvlm_weight=2.0, cpc_weight=0.5)
+def test_loss_is_the_plain_sum():
     mlm_logits = Tensor(np.zeros((1, 2, 30)))
     cpc_logits = Tensor(np.zeros((1, 2, 16)))
     mvlm = np.array([[0, IGNORE_LABEL]])
     cpc = np.array([[IGNORE_LABEL, 3]])
-    loss, metrics = pretrain_loss(mlm_logits, cpc_logits, mvlm, cpc, cfg)
-    assert loss.item() == pytest.approx(2.0 * np.log(30) + 0.5 * np.log(16))
+    loss, metrics = pretrain_loss(mlm_logits, cpc_logits, mvlm, cpc)
+    assert loss.item() == pytest.approx(np.log(30) + np.log(16))
+    assert loss.item() == metrics["mvlm_loss"] + metrics["cpc_loss"]
 
 
 def test_config_fraction_validation():
     with pytest.raises(ValueError):
-        PretrainConfig(mask_token_frac=0.7)
+        PretrainConfig(mask_token_frac=0.95)  # + random_frac 0.1 > 1
     with pytest.raises(ValueError):
-        PretrainConfig(zero_box_frac=0.5, keep_box_frac=0.2)
+        PretrainConfig(mask_token_frac=-0.1)
+    with pytest.raises(ValueError):
+        PretrainConfig(zero_box_frac=1.5)
+    with pytest.raises(ValueError):
+        PretrainConfig(zero_box_frac=-0.5)
+    PretrainConfig(mask_token_frac=0.7)  # keeps the remaining 0.2
+    PretrainConfig(mask_token_frac=0.9, random_frac=0.1, zero_box_frac=1.0)

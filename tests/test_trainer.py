@@ -84,14 +84,13 @@ def test_masked_row_loss_equals_the_full_vocabulary_projection():
     trainer = Pretrainer(docs, vocab, model_cfg, train_cfg, PretrainConfig())
     examples = trainer._batch_examples(0)
     params = trainer.params
-    loss, metrics = pretrain_batch_loss(params, model_cfg, PretrainConfig(),
-                                        examples, True)
+    loss, metrics = pretrain_batch_loss(params, model_cfg, examples, True)
 
     hidden = M.encode(params, model_cfg, *stack_batch(examples))
     full, _ = pretrain_loss(
         M.head_mlm(params, hidden), M.head_cpc(params, hidden),
         np.stack([e.mvlm_labels for e in examples]),
-        np.stack([e.cpc_labels for e in examples]), PretrainConfig(),
+        np.stack([e.cpc_labels for e in examples]),
     )
     assert abs(loss.item() - full.item()) <= 1e-12 * abs(full.item())
     assert metrics["mvlm_loss"] > 0
@@ -198,3 +197,37 @@ def test_heldout_eval_without_graph_matches_graph_forward(graph_free_vs_graph):
     assert set(ev) == {"eval_mvlm_loss", "eval_cpc_acc"}
     assert all(p.grad is None and p.requires_grad
                for p in trainer.params.values())
+
+
+def test_resume_leaves_the_checkpoint_unchanged():
+    docs, vocab, model_cfg = tiny_setup(12)
+    cfg = TrainConfig(steps=6, batch_size=4, seed=9, eval_every=0,
+                      precision="float64")
+    short = Pretrainer(docs, vocab, model_cfg, cfg, PretrainConfig())
+    short.run(stop_after=3)
+    ck = short.to_checkpoint(step=3)
+    arrays = {k: v.copy() for k, v in ck.arrays.items()}
+    first = {k: v.copy() for k, v in ck.adam.first_moment.items()}
+    second = {k: v.copy() for k, v in ck.adam.second_moment.items()}
+
+    resumed = Pretrainer(docs, vocab, model_cfg, cfg, PretrainConfig(), resume=ck)
+    assert len(resumed.run()) == 3
+    assert ck.adam.step_count == 3
+    for saved, now in ((arrays, ck.arrays), (first, ck.adam.first_moment),
+                       (second, ck.adam.second_moment)):
+        assert saved.keys() == now.keys()
+        assert all(np.array_equal(saved[k], now[k]) for k in saved)
+    # the trainer that made the checkpoint still holds the step-3 weights
+    assert all(np.array_equal(arrays[k], p.data) for k, p in short.params.items())
+
+
+@pytest.mark.parametrize("saved_cpc", [True, False], ids=["cpc_to_off", "mlm_to_on"])
+def test_resume_requires_matching_heads(saved_cpc):
+    docs, vocab, model_cfg = tiny_setup(12)
+    cfg = TrainConfig(steps=6, batch_size=4, seed=9, eval_every=0,
+                      precision="float64")
+    t = Pretrainer(docs, vocab, model_cfg, cfg, PretrainConfig(), use_cpc=saved_cpc)
+    t.run(stop_after=3)
+    with pytest.raises(ValueError, match="heads"):
+        Pretrainer(docs, vocab, model_cfg, cfg, PretrainConfig(),
+                   use_cpc=not saved_cpc, resume=t.to_checkpoint(step=3))
