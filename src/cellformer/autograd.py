@@ -88,9 +88,6 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
     # -- graph plumbing ------------------------------------------------
 
     @staticmethod
@@ -132,22 +129,6 @@ class Tensor:
 
     __radd__ = __add__
 
-    def __neg__(self):
-        return Tensor._result(-self.data, (self,), lambda g: (-g,))
-
-    def __sub__(self, other):
-        if not isinstance(other, Tensor):
-            return self + (-np.asarray(other))
-        out = self.data - other.data
-
-        def back(g):
-            return _unbroadcast(g, self.shape), _unbroadcast(-g, other.shape)
-
-        return Tensor._result(out, (self, other), back)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         if not isinstance(other, Tensor):
             factor = np.asarray(other, dtype=self.data.dtype)
@@ -167,11 +148,6 @@ class Tensor:
         return Tensor._result(out, (self, other), back)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, Tensor):
-            raise TypeError("tensor/tensor division is not an engine primitive")
-        return self * (1.0 / float(other))
 
     # -- shape ops -------------------------------------------------------
 
@@ -198,27 +174,6 @@ class Tensor:
             return (full,)
 
         return Tensor._result(out, (self,), back)
-
-    def sum(self, axis=None, keepdims: bool = False):
-        out = self.data.sum(axis=axis, keepdims=keepdims)
-        shape = self.shape
-
-        def back(g):
-            if axis is None:
-                return (np.broadcast_to(g, shape).copy(),)
-            axes = axis if isinstance(axis, tuple) else (axis,)
-            if not keepdims:
-                for ax in sorted(a % len(shape) for a in axes):
-                    g = np.expand_dims(g, ax)
-            return (np.broadcast_to(g, shape).copy(),)
-
-        return Tensor._result(out, (self,), back)
-
-    def mean(self, axis=None, keepdims: bool = False):
-        count = self.size if axis is None else np.prod(
-            [self.shape[a] for a in (axis if isinstance(axis, tuple) else (axis,))]
-        )
-        return self.sum(axis=axis, keepdims=keepdims) * (1.0 / float(count))
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +222,6 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-12) -> Te
         raise ShapeError(
             f"layer_norm: gamma/beta must have shape ({d},), got {gamma.shape}/{beta.shape}"
         )
-    # sum / d is what mean computes, without its Python-level dispatch
     mu = x.data.sum(axis=-1, keepdims=True) / d
     xc = x.data - mu
     var = (xc * xc).sum(axis=-1, keepdims=True) / d

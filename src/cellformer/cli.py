@@ -182,8 +182,9 @@ def cmd_pretrain(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     stop_after = train_cfg.stop_after or None
-    with MetricsLog(out / "metrics.jsonl") as mlog, \
-         MetricsLog(out / "eval.jsonl") as elog:
+    keep = trainer.start_step  # a resumed run keeps the records before it
+    with MetricsLog(out / "metrics.jsonl", keep) as mlog, \
+         MetricsLog(out / "eval.jsonl", keep) as elog:
         history = trainer.run(metrics_log=mlog, eval_log=elog,
                               stop_after=stop_after)
     last_step = stop_after if stop_after is not None else train_cfg.steps

@@ -192,11 +192,19 @@ def read_cls_examples(docs_path, labels_path) -> list[ClsExample]:
 
 
 class MetricsLog:
-    """Append-only line-delimited metric records."""
+    """Line-delimited metric records, one per `write`. Opening a log starts
+    its file afresh, keeping only the records already there whose `step` is
+    below `keep_before`: the ones a run resumed at that step would have
+    written before it."""
 
-    def __init__(self, path):
+    def __init__(self, path, keep_before: int = 0):
         self.path = Path(path)
-        self._fh = open(path, "a", encoding="utf-8")
+        kept = []
+        if keep_before and self.path.exists():
+            kept = [r for r in read_metrics(path) if r["step"] < keep_before]
+        self._fh = open(path, "w", encoding="utf-8")
+        for record in kept:
+            self.write(record)
 
     def write(self, record: dict) -> None:
         self._fh.write(_dumps(record) + "\n")

@@ -48,18 +48,6 @@ class ModelConfig:
         if grid * grid != self.num_areas:
             raise ValueError(f"num_areas {self.num_areas} is not a perfect square")
 
-    @classmethod
-    def paper_scale(cls, vocab_size: int) -> "ModelConfig":
-        """The full-scale configuration (not exercised by the test suite)."""
-        return cls(
-            vocab_size=vocab_size,
-            num_layers=24,
-            num_heads=16,
-            hidden_d=1024,
-            ffn_d=4096,
-            max_len=512,
-        )
-
 
 PRETRAIN_HEADS = ("mlm", "cpc")
 ALL_HEADS = ("mlm", "cpc", "tag", "span", "cls")
@@ -134,40 +122,9 @@ def init_parameters(
 
 
 def heads_present(params: dict[str, Tensor]) -> tuple[str, ...]:
-    found = []
-    for h, key in (("mlm", "mlm_bias"), ("cpc", "cpc_w"), ("tag", "tag_w"),
-                   ("span", "span_w"), ("cls", "cls_w")):
-        if key in params:
-            found.append(h)
-    return tuple(found)
-
-
-def count_parameters(params: dict[str, Tensor]) -> int:
-    return sum(t.size for t in params.values())
-
-
-def expected_parameter_count(config: ModelConfig, heads=PRETRAIN_HEADS) -> int:
-    d, f = config.hidden_d, config.ffn_d
-    total = (config.vocab_size + config.max_len + 2 * COORD_VOCAB) * d + 2 * d
-    per_layer = 4 * (d * d + d) + (d * f + f) + (f * d + d) + 4 * d
-    total += config.num_layers * per_layer
-    if "mlm" in heads:
-        total += config.vocab_size
-    if "cpc" in heads:
-        total += d * config.num_areas + config.num_areas
-    if "tag" in heads:
-        total += d * len(TAG_LABELS) + len(TAG_LABELS)
-    if "span" in heads:
-        total += d * 2 + 2
-    if "cls" in heads:
-        total += d * config.num_doc_classes + config.num_doc_classes
-    return total
-
-
-def layer_matmul_parameter_count(config: ModelConfig) -> int:
-    """Elements of the dense weight matrices inside the encoder layers."""
-    d, f = config.hidden_d, config.ffn_d
-    return config.num_layers * (4 * d * d + 2 * d * f)
+    """The heads whose parameters `params` holds, in ALL_HEADS order."""
+    return tuple(h for h in ALL_HEADS
+                 if ("mlm_bias" if h == "mlm" else h + "_w") in params)
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +271,4 @@ def head_span(params: dict[str, Tensor], hidden: Tensor) -> Tensor:
 
 def head_cls(params: dict[str, Tensor], hidden: Tensor) -> Tensor:
     """Document logits read from the [CLS] position only."""
-    first = hidden[:, 0, :] if hidden.ndim == 3 else hidden[0, :]
-    return ag.matmul(
-        first.reshape(-1, hidden.shape[-1]), params["cls_w"]
-    ) + params["cls_b"]
+    return ag.matmul(hidden[:, 0, :], params["cls_w"]) + params["cls_b"]

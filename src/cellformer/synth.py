@@ -116,8 +116,6 @@ FIELD_KEYS: tuple[tuple[tuple[str, ...], str], ...] = (
     (("count",), "qty"),
 )
 
-NUM_BODY_SLOTS = 12  # rows 1..3 x cols 0..3 of the 4x4 grid
-
 
 @dataclass
 class SynthConfig:

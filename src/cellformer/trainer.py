@@ -221,6 +221,8 @@ class Pretrainer:
 
     def run(self, metrics_log=None, eval_log=None, stop_after=None) -> list[dict]:
         """Train from start_step to cfg.steps; returns the per-step records.
+        Each call starts again at start_step, on the weights and optimizer
+        state the trainer holds now.
 
         `stop_after` simulates an interrupted run: the schedule still spans
         cfg.steps but the loop stops early (checkpoint and resume later)."""
@@ -261,12 +263,13 @@ class Pretrainer:
         return history
 
     def to_checkpoint(self, step: Optional[int] = None) -> Checkpoint:
+        """A snapshot over copies: training on leaves it as it is."""
         return Checkpoint(
             model_config=self.model_cfg,
-            arrays={k: v.data for k, v in self.params.items()},
+            arrays={k: v.data.copy() for k, v in self.params.items()},
             vocab_tokens=list(self.vocab.id_to_token),
             step=self.train_cfg.steps if step is None else step,
             rng_state=self.rng.bit_generator.state,
-            adam=self.adam,
+            adam=copy.deepcopy(self.adam),
             precision=self.train_cfg.precision,
         )

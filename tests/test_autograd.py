@@ -62,14 +62,14 @@ def test_matmul_shape_error_names_both_shapes():
         ag.matmul(a, b)
 
 
-def test_matmul_grad_matches_fd():
+def test_matmul_grad_matches_fd(weighted_sum):
     rng = np.random.default_rng(0)
     a = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
     b = Tensor(rng.normal(size=(4, 2)), requires_grad=True)
     w = rng.normal(size=(3, 2))
 
     def loss():
-        return (ag.matmul(a, b) * Tensor(w)).sum()
+        return weighted_sum(ag.matmul(a, b), w)
 
     zero_grads([a, b])
     backward(loss())
@@ -77,14 +77,14 @@ def test_matmul_grad_matches_fd():
     assert_grad_close(b.grad, fd_grad(loss, b))
 
 
-def test_matmul_batched_grad_matches_fd():
+def test_matmul_batched_grad_matches_fd(weighted_sum):
     rng = np.random.default_rng(1)
     a = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
     b = Tensor(rng.normal(size=(4, 5)), requires_grad=True)
     w = rng.normal(size=(2, 3, 5))
 
     def loss():
-        return (ag.matmul(a, b) * Tensor(w)).sum()
+        return weighted_sum(ag.matmul(a, b), w)
 
     zero_grads([a, b])
     backward(loss())
@@ -109,7 +109,7 @@ def test_layer_norm_symmetric_standardization():
     assert np.allclose(out.data, [[-1.0, 1.0]], atol=1e-6)
 
 
-def test_layer_norm_grad_matches_fd():
+def test_layer_norm_grad_matches_fd(weighted_sum):
     rng = np.random.default_rng(2)
     x = Tensor(rng.normal(size=(4, 8)), requires_grad=True)
     gamma = Tensor(rng.normal(size=8), requires_grad=True)
@@ -117,7 +117,7 @@ def test_layer_norm_grad_matches_fd():
     w = rng.normal(size=(4, 8))
 
     def loss():
-        return (ag.layer_norm(x, gamma, beta, 1e-8) * Tensor(w)).sum()
+        return weighted_sum(ag.layer_norm(x, gamma, beta, 1e-8), w)
 
     zero_grads([x, gamma, beta])
     backward(loss())
@@ -144,13 +144,13 @@ def test_gelu_zero_and_asymptote():
     assert abs(out[1] - 10.0) <= 1e-6
 
 
-def test_gelu_grad_matches_fd():
+def test_gelu_grad_matches_fd(weighted_sum):
     rng = np.random.default_rng(3)
     x = Tensor(rng.normal(size=12), requires_grad=True)
     w = rng.normal(size=12)
 
     def loss():
-        return (ag.gelu(x) * Tensor(w)).sum()
+        return weighted_sum(ag.gelu(x), w)
 
     zero_grads([x])
     backward(loss())
@@ -175,13 +175,13 @@ def test_embedding_gather_out_of_range_names_id_and_size():
         ag.embedding_gather(table, [0, 7])
 
 
-def test_embedding_gather_repeated_id_grad_sums():
+def test_embedding_gather_repeated_id_grad_sums(weighted_sum):
     rng = np.random.default_rng(4)
     table = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
     w = rng.normal(size=(3, 4))
 
     def loss():
-        return (ag.embedding_gather(table, [1, 1, 1]) * Tensor(w[:3])).sum()
+        return weighted_sum(ag.embedding_gather(table, [1, 1, 1]), w[:3])
 
     zero_grads([table])
     backward(loss())
@@ -190,14 +190,14 @@ def test_embedding_gather_repeated_id_grad_sums():
     assert_grad_close(table.grad, fd_grad(loss, table))
 
 
-def test_embedding_gather_grad_over_unsorted_repeats_matches_fd():
+def test_embedding_gather_grad_over_unsorted_repeats_matches_fd(weighted_sum):
     rng = np.random.default_rng(8)
     table = Tensor(rng.normal(size=(6, 3)), requires_grad=True)
     ids = np.array([[4, 0, 4], [2, 4, 0]])
     w = rng.normal(size=(2, 3, 3))
 
     def loss():
-        return (ag.embedding_gather(table, ids) * Tensor(w)).sum()
+        return weighted_sum(ag.embedding_gather(table, ids), w)
 
     zero_grads([table])
     backward(loss())
@@ -209,7 +209,7 @@ def test_embedding_gather_grad_over_unsorted_repeats_matches_fd():
 # -- zero padding ------------------------------------------------------------------
 
 
-def test_zero_pad_appends_zeros_and_slices_the_grad():
+def test_zero_pad_appends_zeros_and_slices_the_grad(weighted_sum):
     rng = np.random.default_rng(9)
     x = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
     w = rng.normal(size=(2, 5, 4))
@@ -219,7 +219,7 @@ def test_zero_pad_appends_zeros_and_slices_the_grad():
     assert np.all(out.data[:, 3:] == 0.0)
 
     def loss():
-        return (ag.zero_pad(x, 5, axis=1) * Tensor(w)).sum()
+        return weighted_sum(ag.zero_pad(x, 5, axis=1), w)
 
     zero_grads([x])
     backward(loss())
@@ -265,7 +265,7 @@ def test_cross_entropy_grad_matches_fd():
     assert_grad_close(logits.grad, fd_grad(loss, logits))
 
 
-def test_softmax_rows_and_grad():
+def test_softmax_rows_and_grad(weighted_sum):
     rng = np.random.default_rng(7)
     x = Tensor(rng.normal(size=(3, 5)), requires_grad=True)
     y = ag.softmax(x)
@@ -273,7 +273,7 @@ def test_softmax_rows_and_grad():
     w = rng.normal(size=(3, 5))
 
     def loss():
-        return (ag.softmax(x) * Tensor(w)).sum()
+        return weighted_sum(ag.softmax(x), w)
 
     zero_grads([x])
     backward(loss())
@@ -283,23 +283,17 @@ def test_softmax_rows_and_grad():
 # -- backward driver ------------------------------------------------------------------
 
 
-def test_backward_sum_gives_ones():
-    x = Tensor(np.random.default_rng(8).normal(size=(3, 4)), requires_grad=True)
-    backward(x.sum())
-    assert np.array_equal(x.grad, np.ones((3, 4)))
-
-
-def test_backward_dot_swaps_operands():
+def test_backward_dot_swaps_operands(weighted_sum):
     x = Tensor([1.0, 2.0, 3.0], requires_grad=True)
     y = Tensor([4.0, 5.0, 6.0], requires_grad=True)
-    backward((x * y).sum())
+    backward(weighted_sum(x * y, np.ones(3)))
     assert np.array_equal(x.grad, y.data)
     assert np.array_equal(y.grad, x.data)
 
 
-def test_backward_accumulates_across_calls():
+def test_backward_accumulates_across_calls(weighted_sum):
     x = Tensor([1.0, 2.0], requires_grad=True)
-    loss = (x * x).sum()
+    loss = weighted_sum(x * x, np.ones(2))
     backward(loss)
     first = x.grad.copy()
     backward(loss)
@@ -312,7 +306,7 @@ def test_backward_rejects_non_scalar():
         backward(x * 2.0)
 
 
-def test_shape_ops_grad_matches_fd():
+def test_shape_ops_grad_matches_fd(weighted_sum):
     rng = np.random.default_rng(9)
     x = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
     w = rng.normal(size=(4, 6))
@@ -320,7 +314,7 @@ def test_shape_ops_grad_matches_fd():
     def loss():
         t = x.swapaxes(0, 1).reshape(3, 8)
         t = t[:, 2:6]
-        return (ag.matmul(t, Tensor(w)) * 0.5).sum()
+        return weighted_sum(ag.matmul(t, Tensor(w)) * 0.5, np.ones((3, 6)))
 
     zero_grads([x])
     backward(loss())
@@ -431,7 +425,7 @@ def test_detached_shares_arrays_and_builds_no_graph():
     def forward(q):
         x = ag.embedding_gather(q["emb"], np.array([[0, 4, 4], [2, 1, 0]]))
         h = ag.layer_norm(ag.gelu(ag.matmul(x, q["w"]) + q["b"]), q["g"], q["b"])
-        return ag.softmax(h.swapaxes(0, 1) * 0.5, axis=-1).sum(axis=-1)
+        return ag.softmax(h.swapaxes(0, 1) * 0.5, axis=-1)
 
     out = forward(free)
     assert not out.requires_grad
@@ -446,7 +440,9 @@ def test_detached_shares_arrays_and_builds_no_graph():
     assert all(p.grad is None for p in params.values())
 
 
-def test_grad_check_probes_leave_flags_and_weights_as_they_were_even_when_raising():
+def test_grad_check_probes_leave_flags_and_weights_as_they_were_even_when_raising(
+    weighted_sum,
+):
     w = Tensor(np.ones(3), requires_grad=True)
     const = Tensor(np.full(3, 2.0))  # a tensor the caller does not train
     params = {"w": w, "const": const}
@@ -456,7 +452,7 @@ def test_grad_check_probes_leave_flags_and_weights_as_they_were_even_when_raisin
         seen.append({name: t.requires_grad for name, t in p.items()})
         if len(seen) > 1:
             raise RuntimeError("probe failed")
-        return (p["w"] * p["const"]).sum()
+        return weighted_sum(p["w"] * p["const"], np.ones(3))
 
     with pytest.raises(RuntimeError, match="probe failed"):
         finite_difference_errors(failing_probe, params)
@@ -464,5 +460,6 @@ def test_grad_check_probes_leave_flags_and_weights_as_they_were_even_when_raisin
     assert np.array_equal(w.data, np.ones(3))  # the probed element is put back
     assert seen == [{"w": True, "const": False}, {"w": False, "const": False}]
 
-    finite_difference_errors(lambda p: (p["w"] * p["w"]).sum(), params)
+    finite_difference_errors(lambda p: weighted_sum(p["w"] * p["w"], np.ones(3)),
+                             params)
     assert w.requires_grad and not const.requires_grad

@@ -165,6 +165,61 @@ def test_pretrain_identical_seeds_identical_logs(pipeline, tmp_path):
         (again / "metrics.jsonl").read_bytes()
 
 
+def pretrain_args(out, run_dir, *extra):
+    """A 6-step pretrain run into `run_dir` that logs an evaluation every
+    2 steps."""
+    return [
+        "pretrain", "--corpus", str(out / "pretrain_docs.jsonl"),
+        "--vocab", str(out / "vocab.txt"), "--out", str(run_dir),
+        "--steps", "6", "--batch-size", "4", "--eval-every", "2",
+        "--heldout-every", "6", "--seed", "11", *extra,
+    ] + TINY_MODEL
+
+
+def files(run_dir, names=("metrics.jsonl", "eval.jsonl", "checkpoint.ckpt")):
+    return {name: (run_dir / name).read_bytes() for name in names}
+
+
+def test_pretrain_rerun_into_one_directory_gives_the_same_files(pipeline, tmp_path):
+    _, out, _ = pipeline
+    run = tmp_path / "run"
+    assert main(pretrain_args(out, run)) == 0
+    once = files(run)
+    assert main(pretrain_args(out, run)) == 0
+    assert files(run) == once
+    assert len(read_metrics(run / "metrics.jsonl")) == 6
+
+
+def test_resume_over_a_longer_run_writes_the_uninterrupted_files(pipeline, tmp_path):
+    _, out, _ = pipeline
+    run, short = tmp_path / "run", tmp_path / "short"
+    assert main(pretrain_args(out, run)) == 0
+    uninterrupted = files(run)
+    assert main(pretrain_args(out, short, "--stop-after", "3")) == 0
+    # the resumed run keeps steps 0-2 of the 6-step run's logs and rewrites
+    # the rest
+    assert main(pretrain_args(out, run, "--resume",
+                              str(short / "checkpoint.ckpt"))) == 0
+    assert files(run) == uninterrupted
+
+
+def test_finetune_rerun_into_one_directory_gives_the_same_files(pipeline, tmp_path):
+    _, out, pre = pipeline
+    run = tmp_path / "ft"
+    args = [
+        "finetune", "--task", "tagging",
+        "--docs", str(out / "form_docs.jsonl"),
+        "--labels", str(out / "form_labels.jsonl"),
+        "--init", str(pre / "checkpoint.ckpt"), "--out", str(run),
+        "--steps", "4", "--batch-size", "2", "--seed", "11",
+    ]
+    assert main(args) == 0
+    once = files(run, ("metrics.jsonl", "checkpoint.ckpt"))
+    assert main(args) == 0
+    assert files(run, ("metrics.jsonl", "checkpoint.ckpt")) == once
+    assert len(read_metrics(run / "metrics.jsonl")) == 4
+
+
 def test_resume_with_mismatched_model_config_errors(pipeline, tmp_path, capsys):
     _, out, pre = pipeline
     code = main([

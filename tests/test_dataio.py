@@ -3,8 +3,8 @@
 import pytest
 
 from cellformer.dataio import (
-    DataError, read_cell_jsonl, read_cls_examples, read_qa_examples,
-    read_tagging_examples, write_cell_jsonl, write_cls_jsonl, write_qa_jsonl,
+    DataError, MetricsLog, read_cell_jsonl, read_cls_examples, read_qa_examples,
+    read_metrics, read_tagging_examples, write_cell_jsonl, write_cls_jsonl, write_qa_jsonl,
     write_tagging_jsonl,
 )
 from cellformer.synth import SynthConfig, gen_cls_dataset, gen_form_dataset, gen_qa_dataset
@@ -67,3 +67,20 @@ def test_empty_files_rejected(tmp_path):
     (tmp_path / "e.jsonl").write_text("")
     with pytest.raises(DataError, match="no documents"):
         read_cell_jsonl(tmp_path / "e.jsonl")
+
+
+def test_metrics_log_starts_afresh_or_keeps_the_steps_before_a_resume(tmp_path):
+    path = tmp_path / "m.jsonl"
+    with MetricsLog(path) as log:
+        for step in range(5):
+            log.write({"step": step, "loss": step / 3})
+    full = path.read_text()
+    with MetricsLog(path) as log:
+        log.write({"step": 0, "loss": 0.0})
+    assert read_metrics(path) == [{"step": 0, "loss": 0.0}]
+
+    path.write_text(full)
+    with MetricsLog(path, keep_before=3) as log:
+        log.write({"step": 3, "loss": 1.0})
+    assert path.read_text() == "".join(full.splitlines(keepends=True)[:3]) + \
+        '{"loss":1.0,"step":3}\n'

@@ -191,19 +191,9 @@ def test_head_span_shapes(cfg, params):
 def test_parameter_count_matches_formula(cfg):
     for heads in ((), ("mlm",), M.PRETRAIN_HEADS, M.ALL_HEADS):
         params = M.init_parameters(cfg, derive_rng(0, "c"), heads=heads)
-        assert M.count_parameters(params) == M.expected_parameter_count(cfg, heads)
         assert set(params) == set(M.parameter_shapes(cfg, heads))
         for name, t in params.items():
             assert t.shape == M.parameter_shapes(cfg, heads)[name]
-
-
-def test_doubling_hidden_roughly_quadruples_matmul_params():
-    small = small_config()
-    big = small_config(hidden_d=32, ffn_d=64)
-    assert M.layer_matmul_parameter_count(big) == 4 * M.layer_matmul_parameter_count(small)
-    ratio = (M.expected_parameter_count(big, M.PRETRAIN_HEADS)
-             / M.expected_parameter_count(small, M.PRETRAIN_HEADS))
-    assert 1.9 < ratio < 4.5  # embeddings scale 2x, layer matmuls 4x
 
 
 def test_config_validation():
@@ -211,8 +201,6 @@ def test_config_validation():
         small_config(hidden_d=10, num_heads=4)
     with pytest.raises(ValueError, match="square"):
         small_config(num_areas=15)
-    paper = M.ModelConfig.paper_scale(vocab_size=1000)
-    assert paper.num_layers == 24 and paper.hidden_d == 1024
 
 
 def test_dropout_changes_training_outputs_deterministically(cfg):

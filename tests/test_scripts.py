@@ -1,4 +1,4 @@
-"""The diagnostic and pilot scripts must import on the running Python
+"""Every script under scripts/ must import on the running Python
 (pyproject allows 3.10 and up) against the package as it is: importing a
 script compiles it and resolves every name it imports from cellformer."""
 

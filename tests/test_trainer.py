@@ -221,6 +221,22 @@ def test_resume_leaves_the_checkpoint_unchanged():
     assert all(np.array_equal(arrays[k], p.data) for k, p in short.params.items())
 
 
+def test_checkpoint_is_a_snapshot_that_training_on_leaves_alone(tmp_path):
+    docs, vocab, model_cfg = tiny_setup(12)
+    cfg = TrainConfig(steps=6, batch_size=4, seed=9, eval_every=0,
+                      precision="float64")
+    t = Pretrainer(docs, vocab, model_cfg, cfg, PretrainConfig())
+    t.run(stop_after=3)
+    ck = t.to_checkpoint(step=3)
+    save_checkpoint(tmp_path / "before.ckpt", ck)
+    t.run()  # trains on from the step-3 weights
+    save_checkpoint(tmp_path / "after.ckpt", ck)
+    assert (tmp_path / "after.ckpt").read_bytes() == \
+        (tmp_path / "before.ckpt").read_bytes()
+    assert ck.adam.step_count == 3
+    assert t.adam.step_count == 9
+
+
 @pytest.mark.parametrize("saved_cpc", [True, False], ids=["cpc_to_off", "mlm_to_on"])
 def test_resume_requires_matching_heads(saved_cpc):
     docs, vocab, model_cfg = tiny_setup(12)
