@@ -28,7 +28,6 @@ from .dataio import (
     read_tagging_examples, write_cell_jsonl, write_cls_jsonl, write_qa_jsonl,
     write_report, write_tagging_jsonl,
 )
-from .documents import IngestError
 from .gradcheck import REL_TOL, run_grad_check
 from .model import ModelConfig
 from .pretrain import PretrainConfig
@@ -175,8 +174,6 @@ def cmd_pretrain(args) -> int:
     try:
         trainer = Pretrainer(docs, vocab, model_cfg, train_cfg, pre_cfg,
                              use_cpc=use_cpc, resume=resume)
-    except IngestError:
-        raise
     except ValueError as e:  # a setting or the resumed checkpoint does not fit
         raise ConfigError(str(e)) from None
     out = Path(args.out)
@@ -202,12 +199,11 @@ def cmd_pretrain(args) -> int:
 # -- finetune ----------------------------------------------------------------
 
 
-def _read_task_examples(task, docs_path, labels_path):
-    if task == "tagging":
-        return read_tagging_examples(docs_path, labels_path)
-    if task == "qa":
-        return read_qa_examples(docs_path, labels_path)
-    return read_cls_examples(docs_path, labels_path)
+_TASK_READERS = {
+    "tagging": read_tagging_examples,
+    "qa": read_qa_examples,
+    "classification": read_cls_examples,
+}
 
 
 def cmd_finetune(args) -> int:
@@ -232,7 +228,7 @@ def cmd_finetune(args) -> int:
         reject = {"vocab_size": "derived from the vocabulary file"}
         model_cfg, train_cfg = _resolve([model_cfg, TrainConfig()], args, reject)
 
-    examples = _read_task_examples(task, args.docs, args.labels)
+    examples = _TASK_READERS[task](args.docs, args.labels)
     train_set, eval_set = split_train_eval(examples)
     _print_config({"model": model_cfg, "train": train_cfg})
     print(f"task={task} train={len(train_set)} eval={len(eval_set)}")
@@ -526,7 +522,7 @@ def main(argv=None) -> int:
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
-    except (DataError, IngestError, CheckpointError) as e:
+    except (DataError, CheckpointError) as e:
         print(f"data error: {e}", file=sys.stderr)
         return EXIT_DATA
 

@@ -6,11 +6,15 @@ identical configs produce identical files.
 from __future__ import annotations
 
 import json
+import logging
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .documents import IngestError, RawCell, RawDocument
+from .metrics import TAG_LABELS, TAG_TO_ID
 from .taskdata import ClsExample, QaExample, TaggingExample
+
+logger = logging.getLogger(__name__)
 
 
 class DataError(Exception):
@@ -21,6 +25,15 @@ def _dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
+def _write_jsonl(records: Iterable[dict], path) -> int:
+    count = 0
+    with open(path, "w", encoding="utf-8") as fh:
+        for record in records:
+            fh.write(_dumps(record) + "\n")
+            count += 1
+    return count
+
+
 def _iter_jsonl(path) -> Iterator[tuple[int, dict]]:
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -28,38 +41,44 @@ def _iter_jsonl(path) -> Iterator[tuple[int, dict]]:
             if not line:
                 continue
             try:
-                yield lineno, json.loads(line)
+                record = json.loads(line)
             except json.JSONDecodeError as e:
                 raise DataError(f"{path}:{lineno}: invalid JSON: {e}") from None
+            if not isinstance(record, dict):
+                raise DataError(f"{path}:{lineno}: expected a JSON object")
+            yield lineno, record
 
 
-def _require(record: dict, field: str, path, lineno: int):
-    if field not in record:
-        raise DataError(f"{path}:{lineno}: missing field '{field}'")
-    return record[field]
+def _read_records(path, parse: Callable[[dict], object]) -> Iterator:
+    """`parse(record)` per record of `path`; a missing field or a value
+    that `parse` rejects becomes a DataError naming `path:line`."""
+    for lineno, record in _iter_jsonl(path):
+        try:
+            parsed = parse(record)
+        except KeyError as e:
+            raise DataError(f"{path}:{lineno}: missing field {e}") from None
+        except (ValueError, TypeError) as e:
+            raise DataError(f"{path}:{lineno}: {e}") from None
+        yield parsed
 
 
 # -- cell documents ----------------------------------------------------------
 
 
+def _cell_record(cell: RawCell) -> dict:
+    record = {"text": cell.text, "box": [_num(v) for v in cell.box]}
+    if cell.word_boxes is not None:
+        record["word_boxes"] = [[_num(v) for v in wb] for wb in cell.word_boxes]
+    return record
+
+
 def write_cell_jsonl(docs: Iterable[RawDocument], path) -> int:
-    count = 0
-    with open(path, "w", encoding="utf-8") as fh:
-        for doc in docs:
-            cells = []
-            for c in doc.cells:
-                rec = {"text": c.text, "box": [_num(v) for v in c.box]}
-                if c.word_boxes is not None:
-                    rec["word_boxes"] = [[_num(v) for v in wb] for wb in c.word_boxes]
-                cells.append(rec)
-            fh.write(_dumps({
-                "doc_id": doc.doc_id,
-                "page_width": _num(doc.page_width),
-                "page_height": _num(doc.page_height),
-                "cells": cells,
-            }) + "\n")
-            count += 1
-    return count
+    return _write_jsonl(({
+        "doc_id": doc.doc_id,
+        "page_width": _num(doc.page_width),
+        "page_height": _num(doc.page_height),
+        "cells": [_cell_record(c) for c in doc.cells],
+    } for doc in docs), path)
 
 
 def _num(v):
@@ -67,30 +86,34 @@ def _num(v):
     return int(f) if f.is_integer() else f
 
 
+def _document(record: dict) -> RawDocument:
+    cells = record["cells"]
+    if not isinstance(cells, list):
+        raise IngestError(f"'cells' must be a list, got {cells!r}")
+    return RawDocument(
+        doc_id=str(record["doc_id"]),
+        page_width=record["page_width"],
+        page_height=record["page_height"],
+        cells=[RawCell(
+            text=c["text"],
+            box=tuple(c["box"]),
+            word_boxes=None if c.get("word_boxes") is None
+            else [tuple(wb) for wb in c["word_boxes"]],
+        ) for c in cells],
+    )
+
+
 def read_cell_jsonl(path) -> list[RawDocument]:
-    docs = []
-    for lineno, rec in _iter_jsonl(path):
-        cells = []
-        for c in _require(rec, "cells", path, lineno):
-            if "text" not in c or "box" not in c:
-                raise DataError(f"{path}:{lineno}: cell missing 'text' or 'box'")
-            try:
-                cells.append(RawCell(
-                    text=c["text"],
-                    box=tuple(c["box"]),
-                    word_boxes=[tuple(wb) for wb in c["word_boxes"]]
-                    if c.get("word_boxes") is not None else None,
-                ))
-            except (IngestError, ValueError, TypeError) as e:
-                raise DataError(f"{path}:{lineno}: bad cell: {e}") from None
-        doc = RawDocument(
-            doc_id=str(_require(rec, "doc_id", path, lineno)),
-            page_width=_require(rec, "page_width", path, lineno),
-            page_height=_require(rec, "page_height", path, lineno),
-            cells=cells,
-        )
-        doc.clamp_to_page()
-        docs.append(doc)
+    """Documents of a cell-JSONL file, each checked by its constructors; a
+    document with boxes past its page gets one warning (those coordinates
+    map to the grid edge)."""
+    docs = list(_read_records(path, _document))
+    for doc in docs:
+        w, h = doc.page_width, doc.page_height
+        if any(b[2] > w or b[3] > h
+               for c in doc.cells for b in (c.box, *(c.word_boxes or ()))):
+            logger.warning("document %s: boxes past the page edge map to the grid edge",
+                           doc.doc_id)
     if not docs:
         raise DataError(f"{path}: no documents")
     return docs
@@ -100,92 +123,83 @@ def read_cell_jsonl(path) -> list[RawDocument]:
 
 
 def write_tagging_jsonl(examples: Iterable[TaggingExample], path) -> int:
-    count = 0
-    with open(path, "w", encoding="utf-8") as fh:
-        for ex in examples:
-            fh.write(_dumps({"doc_id": ex.doc.doc_id,
-                             "word_labels": ex.word_labels}) + "\n")
-            count += 1
-    return count
+    return _write_jsonl(({"doc_id": ex.doc.doc_id, "word_labels": ex.word_labels}
+                         for ex in examples), path)
 
 
 def write_qa_jsonl(examples: Iterable[QaExample], path) -> int:
-    count = 0
-    with open(path, "w", encoding="utf-8") as fh:
-        for ex in examples:
-            fh.write(_dumps({
-                "doc_id": ex.doc.doc_id,
-                "question": ex.question,
-                "answers": ex.answers,
-                "span": list(ex.span) if ex.span is not None else None,
-            }) + "\n")
-            count += 1
-    return count
+    return _write_jsonl(({
+        "doc_id": ex.doc.doc_id,
+        "question": ex.question,
+        "answers": ex.answers,
+        "span": list(ex.span) if ex.span is not None else None,
+    } for ex in examples), path)
 
 
 def write_cls_jsonl(examples: Iterable[ClsExample], path) -> int:
-    count = 0
-    with open(path, "w", encoding="utf-8") as fh:
-        for ex in examples:
-            fh.write(_dumps({"doc_id": ex.doc.doc_id, "label": ex.label}) + "\n")
-            count += 1
-    return count
+    return _write_jsonl(({"doc_id": ex.doc.doc_id, "label": ex.label}
+                         for ex in examples), path)
 
 
-def _doc_index(docs: list[RawDocument], path) -> dict[str, RawDocument]:
-    index = {}
-    for d in docs:
+def _read_examples(docs_path, labels_path, parse: Callable[[RawDocument, dict], object]):
+    """One example per record of `labels_path`: `parse(doc, record)` with
+    the record's document from `docs_path`."""
+    index: dict[str, RawDocument] = {}
+    for d in read_cell_jsonl(docs_path):
         if d.doc_id in index:
-            raise DataError(f"{path}: duplicate doc_id '{d.doc_id}'")
+            raise DataError(f"{docs_path}: duplicate doc_id '{d.doc_id}'")
         index[d.doc_id] = d
-    return index
+
+    def example(record):
+        doc_id = str(record["doc_id"])
+        if doc_id not in index:
+            raise ValueError(f"unknown doc_id '{doc_id}'")
+        return parse(index[doc_id], record)
+
+    out = list(_read_records(labels_path, example))
+    if not out:
+        raise DataError(f"{labels_path}: no examples")
+    return out
+
+
+def _tagging_example(doc: RawDocument, record: dict) -> TaggingExample:
+    labels = record["word_labels"]
+    if not isinstance(labels, list):
+        raise ValueError(f"'word_labels' must be a list, got {labels!r}")
+    for tag in labels:
+        if not isinstance(tag, str) or tag not in TAG_TO_ID:
+            raise ValueError(f"unknown tag {tag!r}; expected one of {', '.join(TAG_LABELS)}")
+    return TaggingExample(doc=doc, word_labels=labels)
+
+
+def _qa_example(doc: RawDocument, record: dict) -> QaExample:
+    question, answers, span = record["question"], record["answers"], record["span"]
+    if not (isinstance(answers, list) and all(isinstance(a, str) for a in answers)):
+        raise ValueError(f"'answers' must be a list of strings, got {answers!r}")
+    if span is not None and not (isinstance(span, list) and len(span) == 2
+                                 and all(type(w) is int for w in span) and 0 <= span[0] <= span[1]):
+        raise ValueError(f"'span' must be null or [first word, last word], got {span!r}")
+    return QaExample(doc=doc, question=str(question), answers=answers,
+                     span=None if span is None else tuple(span))
+
+
+def _cls_example(doc: RawDocument, record: dict) -> ClsExample:
+    label = record["label"]
+    if isinstance(label, bool) or not isinstance(label, int):
+        raise ValueError(f"class label must be an integer, got {label!r}")
+    return ClsExample(doc=doc, label=label)
 
 
 def read_tagging_examples(docs_path, labels_path) -> list[TaggingExample]:
-    index = _doc_index(read_cell_jsonl(docs_path), docs_path)
-    out = []
-    for lineno, rec in _iter_jsonl(labels_path):
-        doc_id = str(_require(rec, "doc_id", labels_path, lineno))
-        labels = _require(rec, "word_labels", labels_path, lineno)
-        if doc_id not in index:
-            raise DataError(f"{labels_path}:{lineno}: unknown doc_id '{doc_id}'")
-        out.append(TaggingExample(doc=index[doc_id], word_labels=list(labels)))
-    if not out:
-        raise DataError(f"{labels_path}: no examples")
-    return out
+    return _read_examples(docs_path, labels_path, _tagging_example)
 
 
 def read_qa_examples(docs_path, labels_path) -> list[QaExample]:
-    index = _doc_index(read_cell_jsonl(docs_path), docs_path)
-    out = []
-    for lineno, rec in _iter_jsonl(labels_path):
-        doc_id = str(_require(rec, "doc_id", labels_path, lineno))
-        if doc_id not in index:
-            raise DataError(f"{labels_path}:{lineno}: unknown doc_id '{doc_id}'")
-        span = _require(rec, "span", labels_path, lineno)
-        out.append(QaExample(
-            doc=index[doc_id],
-            question=str(_require(rec, "question", labels_path, lineno)),
-            answers=list(_require(rec, "answers", labels_path, lineno)),
-            span=tuple(span) if span is not None else None,
-        ))
-    if not out:
-        raise DataError(f"{labels_path}: no examples")
-    return out
+    return _read_examples(docs_path, labels_path, _qa_example)
 
 
 def read_cls_examples(docs_path, labels_path) -> list[ClsExample]:
-    index = _doc_index(read_cell_jsonl(docs_path), docs_path)
-    out = []
-    for lineno, rec in _iter_jsonl(labels_path):
-        doc_id = str(_require(rec, "doc_id", labels_path, lineno))
-        if doc_id not in index:
-            raise DataError(f"{labels_path}:{lineno}: unknown doc_id '{doc_id}'")
-        out.append(ClsExample(doc=index[doc_id],
-                              label=int(_require(rec, "label", labels_path, lineno))))
-    if not out:
-        raise DataError(f"{labels_path}: no examples")
-    return out
+    return _read_examples(docs_path, labels_path, _cls_example)
 
 
 # -- metrics / reports ---------------------------------------------------------

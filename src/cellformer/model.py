@@ -16,7 +16,7 @@ import numpy as np
 
 from . import autograd as ag
 from .autograd import Tensor
-from .documents import CELL_LEVEL, COORD_MAX, normalize_layout_mode
+from .documents import CELL_LEVEL, COORD_MAX, check_layout_mode
 from .metrics import TAG_LABELS
 
 MASK_NEG = -1e9
@@ -39,7 +39,7 @@ class ModelConfig:
     layer_norm_eps: float = 1e-12
 
     def __post_init__(self):
-        self.layout_mode = normalize_layout_mode(self.layout_mode)
+        check_layout_mode(self.layout_mode)
         if self.hidden_d % self.num_heads != 0:
             raise ValueError(
                 f"hidden_d {self.hidden_d} not divisible by num_heads {self.num_heads}"

@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .documents import RawCell, RawDocument
+from .documents import RawCell, RawDocument, normalize_document, serialize_cells
 from .pretrain import derive_rng
 from .taskdata import ClsExample, QaExample, TaggingExample
 
@@ -417,13 +417,6 @@ _TEMPLATE_BUILDERS = {
 # -- labeled datasets --------------------------------------------------------
 
 
-def _serialized_order(doc: RawDocument) -> list[int]:
-    """Cell order after box serialization; boxes here are already on the
-    normalized grid because the synthetic page is 1000x1000."""
-    keyed = [(c.box[1], c.box[0], i) for i, c in enumerate(doc.cells)]
-    return [i for _, _, i in sorted(keyed)]
-
-
 def _bies(n: int, category: str) -> list[str]:
     if n == 1:
         return [f"S-{category}"]
@@ -441,13 +434,12 @@ def gen_form_dataset(cfg: SynthConfig, n: int) -> list[TaggingExample]:
     for i in range(n):
         layout = _gen_form(cfg, derive_rng(cfg.seed, "form", i), f"form{i:06d}")
         labels: list[str] = []
-        for ci in _serialized_order(layout.doc):
-            words = layout.doc.cells[ci].text.split()
-            role = layout.roles[ci]
+        for cell in serialize_cells(normalize_document(layout.doc)):
+            role = layout.roles[cell.source_index]
             if role in _ROLE_CATEGORY:
-                labels.extend(_bies(len(words), _ROLE_CATEGORY[role]))
+                labels.extend(_bies(len(cell.words), _ROLE_CATEGORY[role]))
             else:
-                labels.extend(["O"] * len(words))
+                labels.extend(["O"] * len(cell.words))
         out.append(TaggingExample(doc=layout.doc, word_labels=labels))
     return out
 
@@ -467,15 +459,13 @@ def gen_qa_dataset(cfg: SynthConfig, n: int) -> list[QaExample]:
             ci for ci, (role, ki) in enumerate(zip(layout.roles, layout.key_indices))
             if role == "value" and ki == key_index
         )
-        order = _serialized_order(layout.doc)
         offset = 0
         span = None
-        for ci in order:
-            n_words = len(layout.doc.cells[ci].text.split())
-            if ci == value_cell:
-                span = (offset, offset + n_words - 1)
+        for cell in serialize_cells(normalize_document(layout.doc)):
+            if cell.source_index == value_cell:
+                span = (offset, offset + len(cell.words) - 1)
                 break
-            offset += n_words
+            offset += len(cell.words)
         assert span is not None
         question = "what is the " + " ".join(FIELD_KEYS[key_index][0]) + " ?"
         out.append(

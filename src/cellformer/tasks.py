@@ -22,7 +22,7 @@ from .checkpoint import Checkpoint
 from .dataio import DataError
 from .documents import (
     TokenizedSequence, cell_tokens, encode_document, normalize_document, serialize_cells,
-    stack_batch,
+    stack_batch, token_boxes,
 )
 from .metrics import TAG_LABELS, TAG_TO_ID, anls, extract_span, word_f1
 from .model import MASK_NEG
@@ -67,6 +67,12 @@ def _encode_docs(docs, vocab, model_cfg) -> list[TokenizedSequence]:
             for d in docs]
 
 
+def first_subwords(seq: TokenizedSequence) -> tuple[np.ndarray, np.ndarray]:
+    """(position, word index) of the first subword of each word in `seq`."""
+    words, positions = np.unique(seq.word_index, return_index=True)
+    return positions[words >= 0], words[words >= 0]
+
+
 def tagging_token_labels(seq: TokenizedSequence, word_labels: Sequence[str]) -> np.ndarray:
     """Tag id at each word's first subword, ignore sentinel elsewhere."""
     if len(word_labels) != seq.n_words:
@@ -74,11 +80,8 @@ def tagging_token_labels(seq: TokenizedSequence, word_labels: Sequence[str]) -> 
             f"{seq.doc_id}: {len(word_labels)} labels for {seq.n_words} words"
         )
     labels = np.full(len(seq.token_ids), IGNORE_LABEL, dtype=np.int64)
-    seen: set[int] = set()
-    for pos, w in enumerate(seq.word_index.tolist()):
-        if w >= 0 and w not in seen:
-            seen.add(w)
-            labels[pos] = TAG_TO_ID[word_labels[w]]
+    positions, words = first_subwords(seq)
+    labels[positions] = [TAG_TO_ID[word_labels[w]] for w in words]
     return labels
 
 
@@ -121,11 +124,8 @@ def predict_word_tags(
     out = []
     for s, row in zip(seqs, pred_ids):
         tags = ["O"] * s.n_words
-        seen: set[int] = set()
-        for pos, w in enumerate(s.word_index.tolist()):
-            if w >= 0 and w not in seen:
-                seen.add(w)
-                tags[w] = TAG_LABELS[row[pos]]
+        for pos, w in zip(*first_subwords(s)):
+            tags[w] = TAG_LABELS[row[pos]]
         out.append(tags)
     return out
 
@@ -158,9 +158,10 @@ def qa_windows(
     q_ids = []
     for w in ex.question.split():
         q_ids.extend(tokenize_to_ids(w, vocab))
-    tokens = list(cell_tokens(serialize_cells(normalize_document(ex.doc)), vocab,
-                              model_cfg.layout_mode))
-    doc_ids = [t[0] for t in tokens]
+    cells = serialize_cells(normalize_document(ex.doc))
+    tokens = np.array(list(cell_tokens(cells, vocab)), dtype=np.int64).reshape(-1, 3)
+    doc_ids = tokens[:, 0].tolist()
+    doc_boxes = token_boxes(cells, model_cfg.layout_mode, tokens[:, 1], tokens[:, 2])
     room = L - 3 - len(q_ids)
     if room < 1:
         raise DataError(f"{ex.doc.doc_id}: question leaves no room for the document")
@@ -173,23 +174,18 @@ def qa_windows(
     windows = []
     for start in starts:
         chunk = doc_ids[start:start + room]
-        ids = np.full(L, PAD_ID, dtype=np.int64)
-        boxes = np.zeros((L, 4), dtype=np.int64)
-        ids[0] = CLS_ID
-        ids[1:1 + len(q_ids)] = q_ids
-        ids[1 + len(q_ids)] = SEP_ID
-        ids[offset:offset + len(chunk)] = chunk
-        for j, t in enumerate(tokens[start:start + room]):
-            boxes[offset + j] = t[3]
         length = offset + len(chunk) + 1
-        ids[length - 1] = SEP_ID
+        ids = np.full(L, PAD_ID, dtype=np.int64)
+        ids[:length] = [CLS_ID, *q_ids, SEP_ID, *chunk, SEP_ID]
+        boxes = np.zeros((L, 4), dtype=np.int64)
+        boxes[offset:length - 1] = doc_boxes[start:start + room]
         doc_mask = np.zeros(L, dtype=bool)
-        doc_mask[offset:offset + len(chunk)] = True
+        doc_mask[offset:length - 1] = True
         windows.append(QaWindow(
             token_ids=ids, boxes=boxes, length=length, doc_mask=doc_mask,
             doc_offset=offset, doc_start=start, window_token_ids=chunk,
         ))
-    return windows, [t[2] for t in tokens]
+    return windows, tokens[:, 2].tolist()
 
 
 def qa_token_span(doc_words: list[int], span: tuple[int, int]) -> tuple[int, int]:
@@ -324,6 +320,11 @@ def finetune(
         raise ValueError(f"unknown task {task!r}; expected one of {TASKS}")
     if not train_examples:
         raise ValueError("empty training dataset")
+    if task == "classification":
+        for ex in [*train_examples, *eval_examples]:
+            if not 0 <= ex.label < model_cfg.num_doc_classes:
+                raise DataError(f"{ex.doc.doc_id}: class label {ex.label} outside "
+                                f"[0, {model_cfg.num_doc_classes})")
     ag.set_dtype(PRECISIONS[train_cfg.precision])
     params = prepare_finetune_params(model_cfg, task, init, train_cfg.seed)
     adam = init_adam(params)

@@ -1,6 +1,8 @@
 """Command-line contracts: determinism of generated files, config precedence
 and rejection, exit codes, and the pretrain/finetune surfaces on tiny runs."""
 
+import json
+
 import pytest
 
 from cellformer.checkpoint import load_checkpoint
@@ -267,6 +269,44 @@ def test_pretrain_mask_token_frac_alone_keeps_the_remainder(pipeline, tmp_path,
     ] + TINY_MODEL)
     assert code == 0
     assert "mask_token_frac=0.7" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", ["pretrain", "finetune"])
+@pytest.mark.parametrize("bad", ["nan-box", "string-page-width"])
+def test_malformed_document_is_exit_2(pipeline, tmp_path, capsys, command, bad):
+    _, out, _ = pipeline
+    name = "pretrain_docs.jsonl" if command == "pretrain" else "form_docs.jsonl"
+    lines = (out / name).read_text().splitlines()
+    rec = json.loads(lines[3])
+    if bad == "nan-box":
+        rec["cells"][0]["box"][1] = float("nan")
+    else:
+        rec["page_width"] = "wide"
+    lines[3] = json.dumps(rec)
+    docs = tmp_path / name
+    docs.write_text("\n".join(lines) + "\n")
+    if command == "pretrain":
+        args = ["pretrain", "--corpus", str(docs), "--vocab", str(out / "vocab.txt")]
+    else:
+        args = ["finetune", "--task", "tagging", "--docs", str(docs),
+                "--labels", str(out / "form_labels.jsonl"), "--init", "none",
+                "--vocab", str(out / "vocab.txt")]
+    code = main(args + ["--out", str(tmp_path / "x"), "--steps", "2"] + TINY_MODEL)
+    assert code == 2
+    assert f"{name}:4: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mode", ["word-level", "cell-level"])
+def test_removed_layout_mode_spellings_are_config_errors(pipeline, tmp_path, capsys,
+                                                         mode):
+    _, out, _ = pipeline
+    code = main([
+        "pretrain", "--corpus", str(out / "pretrain_docs.jsonl"),
+        "--vocab", str(out / "vocab.txt"), "--out", str(tmp_path / "x"),
+        "--steps", "2", "--layout-mode", mode,
+    ] + TINY_MODEL)
+    assert code == 1
+    assert "unknown layout mode" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flag", [

@@ -1,5 +1,7 @@
 """File-format round trips and schema errors."""
 
+import json
+
 import pytest
 
 from cellformer.dataio import (
@@ -53,6 +55,78 @@ def test_bad_json_names_line(tmp_path):
     (tmp_path / "d.jsonl").write_text(good + "\n{oops\n")
     with pytest.raises(DataError, match=r"d\.jsonl:2"):
         read_cell_jsonl(tmp_path / "d.jsonl")
+
+
+GOOD_CELL = {"text": "hi there", "box": [0, 0, 50, 5], "word_boxes": [[0, 0, 20, 5], [25, 0, 50, 5]]}
+
+
+def _doc_line(**change):
+    rec = {"doc_id": "bad", "page_width": 100, "page_height": 100, "cells": [dict(GOOD_CELL)]}
+    cell = change.pop("cell", {})
+    rec["cells"][0].update(cell)
+    rec.update(change)
+    return json.dumps(rec)
+
+
+@pytest.mark.parametrize("line", [
+    _doc_line(cell={"box": [0, float("nan"), 50, 5]}),
+    _doc_line(page_height=float("nan")),
+    _doc_line(page_width="wide"),
+    _doc_line(page_width=float("inf")),
+    _doc_line(cell={"word_boxes": [[-1, 0, 20, 5], [25, 0, 50, 5]]}),
+    _doc_line(cell={"word_boxes": [[50, 0, 10, 5], [25, 0, 50, 5]]}),
+    _doc_line(cell={"word_boxes": [[0, 0, 20], [25, 0, 50, 5]]}),
+    _doc_line(cell={"text": 5}),
+    _doc_line(cells=5),
+    _doc_line(cells=[5]),
+    _doc_line(cells=[]),
+    "5",
+], ids=["nan-box", "nan-page-height", "string-page-width", "infinite-page-width",
+        "negative-word-box", "reversed-word-box", "short-word-box", "number-text",
+        "number-cells", "number-cell", "no-cells", "not-an-object"])
+def test_malformed_cell_documents_name_path_and_line(tmp_path, line):
+    good = _doc_line(doc_id="good")
+    (tmp_path / "d.jsonl").write_text(good + "\n" + line + "\n")
+    with pytest.raises(DataError, match=r"d\.jsonl:2: "):
+        read_cell_jsonl(tmp_path / "d.jsonl")
+
+
+def _write_labels(tmp_path, docs, records):
+    write_cell_jsonl(docs, tmp_path / "d.jsonl")
+    (tmp_path / "l.jsonl").write_text("".join(json.dumps(r) + "\n" for r in records))
+    return tmp_path / "d.jsonl", tmp_path / "l.jsonl"
+
+
+def test_unknown_tag_names_path_and_line(tmp_path):
+    ex = gen_form_dataset(CFG, 2)[0]
+    labels = list(ex.word_labels)
+    labels[1] = "X-foo"
+    paths = _write_labels(tmp_path, [ex.doc], [
+        {"doc_id": ex.doc.doc_id, "word_labels": ex.word_labels},
+        {"doc_id": ex.doc.doc_id, "word_labels": labels},
+    ])
+    with pytest.raises(DataError, match=r"l\.jsonl:2: unknown tag 'X-foo'"):
+        read_tagging_examples(*paths)
+
+
+@pytest.mark.parametrize("change", [
+    {"span": [3]}, {"span": "ab"}, {"span": [5, 2]}, {"span": [-1, 2]}, {"answers": "foo"},
+], ids=["one-word-span", "string-span", "reversed-span", "negative-span", "string-answers"])
+def test_malformed_qa_record_names_path_and_line(tmp_path, change):
+    ex = gen_qa_dataset(CFG, 2)[0]
+    record = {"doc_id": ex.doc.doc_id, "question": ex.question, "answers": ex.answers,
+              "span": list(ex.span), **change}
+    paths = _write_labels(tmp_path, [ex.doc], [record])
+    with pytest.raises(DataError, match=r"l\.jsonl:1: '(span|answers)' must be"):
+        read_qa_examples(*paths)
+
+
+@pytest.mark.parametrize("label", ["abc", "1", 1.5, True, None])
+def test_non_integer_class_label_names_path_and_line(tmp_path, label):
+    ex = gen_cls_dataset(CFG, 2)[0]
+    paths = _write_labels(tmp_path, [ex.doc], [{"doc_id": ex.doc.doc_id, "label": label}])
+    with pytest.raises(DataError, match=r"l\.jsonl:1: class label"):
+        read_cls_examples(*paths)
 
 
 def test_unknown_doc_id_in_labels(tmp_path):

@@ -1,12 +1,16 @@
-"""Box normalization, reading-order serialization, vocabulary construction,
-tokenization, and window encoding."""
+"""Input checks, grid normalization, reading-order serialization,
+vocabulary construction, tokenization, and window encoding."""
+
+import hashlib
+import math
 
 import numpy as np
 import pytest
 
+from cellformer.dataio import read_cell_jsonl, write_cell_jsonl
 from cellformer.documents import (
-    EMPTY_BOX, IngestError, RawCell, RawDocument,
-    encode_document, normalize_box, normalize_document, serialize_cells,
+    IngestError, RawCell, RawDocument,
+    encode_document, grid_boxes, normalize_document, serialize_cells,
 )
 from cellformer.vocab import (
     CLS_ID, MASK_ID, PAD_ID, RESERVED, SEP_ID, UNK, UNK_ID, Vocab,
@@ -16,40 +20,115 @@ from cellformer.vocab import (
 # -- normalization ---------------------------------------------------------------
 
 
-def test_normalize_box_direct_formula():
-    assert normalize_box((500, 250, 1000, 500), 2000, 1000) == (250, 250, 500, 500)
+def _grid(box, page_w, page_h):
+    return tuple(grid_boxes([box], page_w, page_h)[0].tolist())
 
 
-def test_normalize_box_range_endpoints():
-    assert normalize_box((0, 0, 2000, 1000), 2000, 1000) == (0, 0, 1000, 1000)
+def test_grid_boxes_direct_formula():
+    assert _grid((500, 250, 1000, 500), 2000, 1000) == (250, 250, 500, 500)
 
 
-def test_normalize_box_rejects_bad_page():
+def test_grid_boxes_range_endpoints():
+    assert _grid((0, 0, 2000, 1000), 2000, 1000) == (0, 0, 1000, 1000)
+
+
+def test_raw_document_rejects_bad_page():
     with pytest.raises(IngestError):
-        normalize_box((0, 0, 1, 1), 0, 100)
+        RawDocument("d", 0, 100, [RawCell("hi", (0, 0, 1, 1))])
 
 
-def test_normalize_box_monotone_and_idempotent():
+def test_grid_boxes_monotone_and_idempotent():
     rng = np.random.default_rng(0)
     for _ in range(200):
         a, b = sorted(rng.uniform(0, 1700, size=2))
         c, d = sorted(rng.uniform(0, 2200, size=2))
-        box = normalize_box((a, c, b, d), 1700, 2200)
-        assert box.x0 <= box.x1 and box.y0 <= box.y1
+        box = _grid((a, c, b, d), 1700, 2200)
+        assert box[0] <= box[2] and box[1] <= box[3]
         # idempotent on an already-normalized 1000-unit page
-        assert normalize_box(tuple(box), 1000, 1000) == box
+        assert _grid(box, 1000, 1000) == box
     # monotone per coordinate
     xs = sorted(rng.uniform(0, 1700, size=50))
-    normed = [normalize_box((x, 0, 1700, 1), 1700, 2200).x0 for x in xs]
+    normed = [_grid((x, 0, 1700, 1), 1700, 2200)[0] for x in xs]
     assert normed == sorted(normed)
 
 
-def test_clamp_on_ingest_warns(caplog):
-    doc = RawDocument("d", 100, 100, [RawCell("hi", (50, 50, 150, 90))])
+def _old_scale(value, page_dim):
+    """The scalar formula `grid_boxes` replaced, kept as its reference."""
+    if float(value).is_integer() and float(page_dim).is_integer():
+        return min(max(int(value) * 1000 // int(page_dim), 0), 1000)
+    return min(max(math.floor(value * 1000 / page_dim), 0), 1000)
+
+
+def test_grid_boxes_match_the_scalar_formula():
+    rng = np.random.default_rng(7)
+    pages = [1, 3, 7, 999, 1000, 1001, 1700, 2200, 4961,
+             612.5, 791.3, 1295.3248347145238, 4222.264835773715]
+    pages += rng.uniform(1, 5000, size=20).tolist()
+    for page in pages:
+        limit = math.ceil(page)
+        values = [0, 1, limit - 1, limit, limit + 1, page, page * 1.5, 10 * limit]
+        if limit <= 5000:
+            values += list(range(limit + 3))  # every edge pixel of the page
+        # the pixels on each side of a grid-unit boundary
+        for k in rng.integers(0, 1001, size=40).tolist():
+            edge = k * page / 1000
+            values += [edge, math.nextafter(edge, 0), math.nextafter(edge, math.inf),
+                       math.floor(edge), math.ceil(edge)]
+        values += rng.uniform(0, 1.2 * page, size=200).tolist()
+        boxes = [(v, v, v, v) for v in values]
+        got = grid_boxes(boxes, page, page)
+        assert got.dtype == np.int64
+        want = [_old_scale(v, page) for v in values]
+        assert got[:, 0].tolist() == want, page
+        assert got[:, 3].tolist() == want, page
+
+
+def test_clamp_on_ingest_warns(tmp_path, caplog):
+    doc = RawDocument("d", 100, 100, [RawCell("hi there", (50, 50, 150, 90),
+                                              [(50, 50, 90, 90), (95, 50, 150, 90)]),
+                                      RawCell("x", (10, 10, 20, 300))])
+    write_cell_jsonl([doc], tmp_path / "d.jsonl")
     with caplog.at_level("WARNING"):
-        doc.clamp_to_page()
-    assert doc.cells[0].box == (50, 50, 100, 90)
-    assert "clamped" in caplog.text
+        (loaded,) = read_cell_jsonl(tmp_path / "d.jsonl")
+    assert caplog.text.count("past the page edge") == 1  # once per document
+    assert loaded.cells[0].box == (50, 50, 150, 90)  # the caller's pixels stay
+    cells = normalize_document(loaded)
+    assert cells[0].box == (500, 500, 1000, 900)
+    assert cells[0].word_boxes[1] == (950, 500, 1000, 900)
+    assert cells[1].box == (100, 100, 200, 1000)
+
+
+def test_past_the_page_is_the_grid_edge_on_a_fractional_page():
+    # float rounding puts this page's own edge pixel at 999, but a
+    # coordinate past the page still maps to the grid edge
+    page = 4222.264835773715
+    assert _grid((0, 0, page, page), page, page) == (0, 0, 999, 999)
+    assert _grid((0, 0, page + 1, page * 2), page, page) == (0, 0, 1000, 1000)
+
+
+@pytest.mark.parametrize("box", [
+    (float("nan"), 0, 1, 1), (0, 0, float("inf"), 1), (-1, 0, 1, 1),
+    (5, 0, 1, 1), (0, 0, 1), (0, 0, 1, "1"), (True, 0, 1, 1), (0, 0, 10**400, 1), 5,
+])
+def test_raw_cell_rejects_bad_boxes(box):
+    with pytest.raises(IngestError):
+        RawCell("hi", box)
+    with pytest.raises(IngestError):
+        RawCell("hi", (0, 0, 1, 1), [box])
+
+
+@pytest.mark.parametrize("text", [5, None])
+def test_raw_cell_rejects_bad_text(text):
+    with pytest.raises(IngestError):
+        RawCell(text, (0, 0, 1, 1))
+
+
+@pytest.mark.parametrize("dim", [float("nan"), float("inf"), -5, "wide", None, True])
+def test_raw_document_rejects_bad_page_dimensions(dim):
+    with pytest.raises(IngestError):
+        RawDocument("d", dim, 100, [RawCell("hi", (0, 0, 1, 1))])
+    with pytest.raises(IngestError):
+        RawDocument("d", 100, dim, [RawCell("hi", (0, 0, 1, 1))])
 
 
 # -- serialization ----------------------------------------------------------------
@@ -173,16 +252,16 @@ def test_encode_special_tokens_carry_empty_box():
     doc = RawDocument("d", 1000, 1000, [RawCell("alpha", (40, 40, 90, 60))])
     seq = encode_document(doc, _simple_vocab(), 8)
     assert seq.token_ids[0] == CLS_ID
-    assert tuple(seq.boxes[0]) == EMPTY_BOX
+    assert tuple(seq.boxes[0]) == (0, 0, 0, 0)
     sep = int(np.nonzero(seq.token_ids == SEP_ID)[0][0])
-    assert tuple(seq.boxes[sep]) == EMPTY_BOX
+    assert tuple(seq.boxes[sep]) == (0, 0, 0, 0)
     assert np.all(seq.boxes[seq.length:] == 0)
     assert np.all(seq.token_ids[seq.length:] == PAD_ID)
 
 
 def test_encode_word_level_equal_split():
     doc = RawDocument("d", 1000, 1000, [RawCell("alpha beta", (0, 0, 100, 10))])
-    seq = encode_document(doc, _simple_vocab(), 16, "word-level")
+    seq = encode_document(doc, _simple_vocab(), 16, "word")
     content = np.nonzero(seq.cell_index >= 0)[0]
     assert tuple(seq.boxes[content[0]]) == (0, 0, 50, 10)
     assert tuple(seq.boxes[content[1]]) == (50, 0, 100, 10)
@@ -227,4 +306,72 @@ def test_encode_box_equality_iff_same_cell_on_synthetic_docs():
         assert all(len(v) == 1 for v in boxes.values())  # same cell -> same box
         assert len(set(per_cell.values())) == len(per_cell)  # distinct cells differ
         for pos in np.nonzero(~content)[0]:
-            assert tuple(seq.boxes[pos]) == EMPTY_BOX
+            assert tuple(seq.boxes[pos]) == (0, 0, 0, 0)
+
+
+# -- pinned ingest outputs ---------------------------------------------------------
+
+# sha256 of `_ingest_digest()`, computed on the scalar normalization code that
+# `grid_boxes` and the by-index box lookup replaced (commit c780c75)
+INGEST_DIGEST = "9ba1b7d391d5562da5b6cd23b8423eafe1c8f269fefc6c427eb95935f51b0413"
+
+
+def _on_fractional_page(doc, i):
+    """`doc` rescaled onto a fractional page; odd documents drop their word
+    boxes (split boxes) and every fifth pushes its last cell past the page."""
+    w, h = 612.5 + 0.37 * i, 791.3 + 1.9 * i
+    sx, sy = w / 1000, h / 1000
+
+    def scale(box):
+        x0, y0, x1, y1 = box
+        return (x0 * sx, y0 * sy, x1 * sx, y1 * sy)
+
+    cells = [RawCell(c.text, scale(c.box),
+                     [scale(b) for b in c.word_boxes] if i % 2 == 0 else None)
+             for c in doc.cells]
+    if i % 5 == 0:
+        x0, y0, _, _ = cells[-1].box
+        cells[-1] = RawCell(cells[-1].text, (x0, y0, w * 1.07, h + 3.5))
+    return RawDocument(f"frac{i}", w, h, cells)
+
+
+def _ingest_digest() -> str:
+    """Every `encode_document` output of 40 synthetic documents and of the
+    same documents on fractional pages, in both layout modes at max_len 16
+    and 128, plus every `qa_windows` output on 20 QA examples."""
+    from cellformer.model import ModelConfig
+    from cellformer.pretrain import derive_rng
+    from cellformer.synth import SynthConfig, gen_pretrain_doc, gen_qa_dataset, vocab_words
+    from cellformer.tasks import qa_windows
+
+    cfg = SynthConfig(seed=23)
+    vocab = build_vocab(vocab_words(cfg), 512)
+    synthetic = [gen_pretrain_doc(cfg, derive_rng(23, "pin", i), f"pin{i}")
+                 for i in range(40)]
+    fractional = [_on_fractional_page(d, i) for i, d in enumerate(synthetic)]
+    h = hashlib.sha256()
+    for doc in synthetic + fractional:
+        for mode in ("cell", "word"):
+            for max_len in (16, 128):
+                seq = encode_document(doc, vocab, max_len, mode)
+                for a in (seq.token_ids, seq.cell_index, seq.word_index,
+                          seq.boxes, seq.cell_boxes):
+                    h.update(np.ascontiguousarray(a, dtype=np.int64).tobytes())
+                h.update(f"{seq.doc_id},{seq.length},{seq.n_words};".encode())
+    for ex in gen_qa_dataset(cfg, 20):
+        for mode in ("cell", "word"):
+            for max_len in (32, 128):
+                model_cfg = ModelConfig(vocab_size=len(vocab), max_len=max_len,
+                                        layout_mode=mode)
+                windows, words = qa_windows(ex, vocab, model_cfg)
+                for win in windows:
+                    for a in (win.token_ids, win.boxes, win.doc_mask):
+                        h.update(np.ascontiguousarray(a, dtype=np.int64).tobytes())
+                    h.update(f"{win.length},{win.doc_offset},{win.doc_start},"
+                             f"{win.window_token_ids};".encode())
+                h.update(f"{words};".encode())
+    return h.hexdigest()
+
+
+def test_ingest_outputs_are_pinned():
+    assert _ingest_digest() == INGEST_DIGEST

@@ -58,8 +58,9 @@ def test_boxes_valid_without_clamping():
                 assert x0 <= wx0 <= wx1 <= x1
                 assert y0 <= wy0 <= wy1 <= y1
         # normalization is the identity here, so no clamping can occur
-        for cell in normalize_document(doc):
-            cell.box.validate()
+        for cell, raw in zip(normalize_document(doc), doc.cells):
+            assert cell.box == raw.box
+            assert all(0 <= v <= 1000 for box in cell.word_boxes for v in box)
 
 
 def test_every_document_has_a_multiword_cell():

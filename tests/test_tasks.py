@@ -186,6 +186,16 @@ def test_finetune_rejects_bad_task_and_empty_data(vocab, model_cfg):
         finetune("tagging", [], [], vocab, model_cfg, cfg)
 
 
+@pytest.mark.parametrize("split", ["train", "eval"])
+def test_finetune_rejects_a_class_label_outside_the_classes(vocab, model_cfg, split):
+    train, eval_ = split_train_eval(gen_cls_dataset(SYNTH, 10))
+    bad = (train if split == "train" else eval_)[-1]
+    bad.label = model_cfg.num_doc_classes
+    cfg = TrainConfig(steps=1, batch_size=1)
+    with pytest.raises(DataError, match=f"{bad.doc.doc_id}: class label 3 outside"):
+        finetune("classification", train, eval_, vocab, model_cfg, cfg)
+
+
 def test_finetune_leaves_its_init_checkpoint_unchanged(vocab, model_cfg, tmp_path):
     docs = [ex.doc for ex in gen_form_dataset(SYNTH, 8)]
     trainer = Pretrainer(docs, vocab, model_cfg,
