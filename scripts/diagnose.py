@@ -31,7 +31,7 @@ def tagging_confusion(ckpt_path, corpus_dir, steps, lr, seed):
                                      f"{corpus_dir}/form_labels.jsonl")
     train, eval_ = split_train_eval(examples)
     # the ablation's fine-tuning settings, so the report reproduces its F1
-    cfg = TrainConfig(steps=steps, lr=lr, seed=seed, eval_every=0)
+    cfg = TrainConfig(steps=steps, lr=lr, seed=seed)
     params, report = finetune("tagging", train, eval_, vocab,
                               init.model_config, cfg, init=init)
     print("report:", report)
@@ -74,7 +74,7 @@ def qa_modes(ckpt_path, corpus_dir, steps, lr, seed, n_show=10):
     examples = read_qa_examples(f"{corpus_dir}/qa_docs.jsonl",
                                 f"{corpus_dir}/qa_labels.jsonl")
     train, eval_ = split_train_eval(examples)
-    cfg = TrainConfig(steps=steps, batch_size=8, lr=lr, seed=seed, eval_every=0)
+    cfg = TrainConfig(steps=steps, batch_size=8, lr=lr, seed=seed)
     params, report = finetune("qa", train, eval_, vocab, mc, cfg, init=init)
     print("report:", report)
     train_scores = [

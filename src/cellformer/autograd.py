@@ -115,11 +115,7 @@ class Tensor:
 
     # -- arithmetic ----------------------------------------------------
 
-    def __add__(self, other):
-        if not isinstance(other, Tensor):
-            other_data = np.asarray(other, dtype=self.data.dtype)
-            out = self.data + other_data
-            return Tensor._result(out, (self,), lambda g: (_unbroadcast(g, self.shape),))
+    def __add__(self, other: "Tensor"):
         out = self.data + other.data
 
         def back(g):
@@ -127,27 +123,13 @@ class Tensor:
 
         return Tensor._result(out, (self, other), back)
 
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        if not isinstance(other, Tensor):
-            factor = np.asarray(other, dtype=self.data.dtype)
-            out = self.data * factor
-            return Tensor._result(
-                out, (self,), lambda g: (_unbroadcast(g * factor, self.shape),)
-            )
-        out = self.data * other.data
-        a, b = self, other
-
-        def back(g):
-            return (
-                _unbroadcast(g * b.data, a.shape),
-                _unbroadcast(g * a.data, b.shape),
-            )
-
-        return Tensor._result(out, (self, other), back)
-
-    __rmul__ = __mul__
+    def __mul__(self, factor):
+        """Scaling by a constant (a number or an array)."""
+        factor = np.asarray(factor, dtype=self.data.dtype)
+        out = self.data * factor
+        return Tensor._result(
+            out, (self,), lambda g: (_unbroadcast(g * factor, self.shape),)
+        )
 
     # -- shape ops -------------------------------------------------------
 

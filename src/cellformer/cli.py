@@ -24,9 +24,8 @@ import numpy as np
 from .checkpoint import Checkpoint, CheckpointError, load_checkpoint, save_checkpoint
 from .config import ConfigError, apply_settings, config_lines, parse_kv_file
 from .dataio import (
-    DataError, MetricsLog, read_cell_jsonl, read_cls_examples, read_qa_examples,
-    read_tagging_examples, write_cell_jsonl, write_cls_jsonl, write_qa_jsonl,
-    write_report, write_tagging_jsonl,
+    DataError, MetricsLog, read_cell_jsonl, read_tagging_examples, write_cell_jsonl,
+    write_cls_jsonl, write_qa_jsonl, write_report, write_tagging_jsonl,
 )
 from .gradcheck import REL_TOL, run_grad_check
 from .model import ModelConfig
@@ -56,32 +55,51 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _add_dataclass_flags(parser, cls, skip=()):
-    """One string-valued flag per dataclass field; coercion happens later in
-    apply_settings so files and flags share one type path."""
-    for f in dataclasses.fields(cls):
-        if f.name in skip:
-            continue
-        parser.add_argument(
-            "--" + f.name.replace("_", "-"),
-            dest=f.name,
-            default=argparse.SUPPRESS,
-            metavar="V",
-            help=f"{cls.__name__}.{f.name} (default {f.default!r})",
-        )
+_FROM_VOCAB = {"vocab_size": "derived from the vocabulary file"}
+
+# The config classes each command reads, and the fields among them that the
+# command fixes itself, with the reason: a fixed field gets no flag, and a
+# config file that sets it is rejected.
+SETTINGS = {
+    "gen-corpus": ((SynthConfig,), {}),
+    "pretrain": ((ModelConfig, TrainConfig, PretrainConfig), _FROM_VOCAB),
+    "finetune": ((ModelConfig, TrainConfig), _FROM_VOCAB),
+    "ablate": ((ModelConfig, TrainConfig, PretrainConfig), {
+        **_FROM_VOCAB,
+        "layout_mode": "chosen per ablation variant",
+        "steps": "use pretrain_steps / finetune_steps for ablation",
+    }),
+}
 
 
-def _resolve(instances, args, reject=None):
+def _add_settings(parser, command):
+    """One string-valued flag per setting of `command`; coercion happens
+    later in apply_settings so files and flags share one type path."""
+    classes, fixed = SETTINGS[command]
+    for cls in classes:
+        for f in dataclasses.fields(cls):
+            if f.name not in fixed:
+                parser.add_argument(
+                    "--" + f.name.replace("_", "-"),
+                    dest=f.name,
+                    default=argparse.SUPPRESS,
+                    metavar="V",
+                    help=f"{cls.__name__}.{f.name} (default {f.default!r})",
+                )
+
+
+def _resolve(instances, args, fixed=None):
     """defaults -> config file -> explicit flags, for the fields of
-    `instances`."""
+    `instances`; `fixed` (default: the command's) are rejected."""
+    fixed = SETTINGS[args.command][1] if fixed is None else fixed
     if getattr(args, "config", None):
         instances = apply_settings(
-            instances, parse_kv_file(args.config), str(args.config), reject
+            instances, parse_kv_file(args.config), str(args.config), fixed
         )
     ns = vars(args)
     flags = {f.name: ns[f.name] for inst in instances
              for f in dataclasses.fields(inst) if f.name in ns}
-    return apply_settings(instances, flags, "command line", reject)
+    return apply_settings(instances, flags, "command line", fixed)
 
 
 def _print_config(sections: dict) -> None:
@@ -143,49 +161,36 @@ def cmd_gen_corpus(args) -> int:
 # -- pretrain ----------------------------------------------------------------
 
 
-def _pretrain_configs(args, vocab):
-    model_cfg = ModelConfig(vocab_size=len(vocab))
-    train_cfg = TrainConfig()
-    pre_cfg = PretrainConfig()
-    reject = {"vocab_size": "derived from the vocabulary file"}
-    return _resolve([model_cfg, train_cfg, pre_cfg], args, reject)
-
-
 def cmd_pretrain(args) -> int:
     vocab = _load_vocab(args.vocab)
+    model_cfg, train_cfg, pre_cfg = _resolve(
+        [ModelConfig(vocab_size=len(vocab)), TrainConfig(), PretrainConfig()], args
+    )
+    stop = train_cfg.steps if args.stop_after is None else args.stop_after
+    if not 0 <= stop <= train_cfg.steps:
+        raise ConfigError(f"--stop-after must be in [0, steps={train_cfg.steps}], "
+                          f"got {stop}")
+    resume = load_checkpoint(args.resume) if args.resume else None
+    if resume is not None and resume.step > stop:
+        raise ConfigError(f"the checkpoint is at step {resume.step}, past step {stop} "
+                          "where this run stops")
     docs = read_cell_jsonl(args.corpus)
-    model_cfg, train_cfg, pre_cfg = _pretrain_configs(args, vocab)
-    use_cpc = args.cpc == "on"
-
-    resume = None
-    if args.resume:
-        resume = load_checkpoint(args.resume)
-        if resume.model_config != model_cfg:
-            raise ConfigError(
-                "checkpoint model config does not match the requested one; "
-                f"checkpoint: {resume.model_config}, requested: {model_cfg}"
-            )
-        if resume.vocab_tokens != vocab.id_to_token:
-            raise ConfigError("checkpoint vocabulary differs from --vocab")
 
     _print_config({"model": model_cfg, "train": train_cfg, "objectives": pre_cfg})
-    print(f"cpc={args.cpc}")
+    print(f"cpc={args.cpc} stop_after={stop}")
 
     try:
         trainer = Pretrainer(docs, vocab, model_cfg, train_cfg, pre_cfg,
-                             use_cpc=use_cpc, resume=resume)
+                             use_cpc=args.cpc == "on", resume=resume)
     except ValueError as e:  # a setting or the resumed checkpoint does not fit
         raise ConfigError(str(e)) from None
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    stop_after = train_cfg.stop_after or None
     keep = trainer.start_step  # a resumed run keeps the records before it
     with MetricsLog(out / "metrics.jsonl", keep) as mlog, \
          MetricsLog(out / "eval.jsonl", keep) as elog:
-        history = trainer.run(metrics_log=mlog, eval_log=elog,
-                              stop_after=stop_after)
-    last_step = stop_after if stop_after is not None else train_cfg.steps
-    save_checkpoint(out / "checkpoint.ckpt", trainer.to_checkpoint(step=last_step))
+        history = trainer.run(metrics_log=mlog, eval_log=elog, stop_after=stop)
+    save_checkpoint(out / "checkpoint.ckpt", trainer.to_checkpoint(step=stop))
 
     final = trainer.evaluate_heldout()
     if history:
@@ -199,36 +204,23 @@ def cmd_pretrain(args) -> int:
 # -- finetune ----------------------------------------------------------------
 
 
-_TASK_READERS = {
-    "tagging": read_tagging_examples,
-    "qa": read_qa_examples,
-    "classification": read_cls_examples,
-}
-
-
 def cmd_finetune(args) -> int:
     task = args.task
-    init = None
-    if args.init != "none":
-        init = load_checkpoint(args.init)
-        vocab = Vocab(init.vocab_tokens)
-        if args.vocab:
-            file_vocab = _load_vocab(args.vocab)
-            if file_vocab.id_to_token != vocab.id_to_token:
-                raise ConfigError("--vocab differs from the checkpoint vocabulary")
-        reject = {f.name: "fixed by the checkpoint's model config"
-                  for f in dataclasses.fields(ModelConfig)}
-        model_cfg, train_cfg = _resolve([init.model_config, TrainConfig()], args,
-                                        reject)
-    else:
-        if not args.vocab:
+    vocab = _load_vocab(args.vocab) if args.vocab else None
+    if args.init == "none":
+        if vocab is None:
             raise ConfigError("--vocab is required when --init none")
-        vocab = _load_vocab(args.vocab)
-        model_cfg = ModelConfig(vocab_size=len(vocab))
-        reject = {"vocab_size": "derived from the vocabulary file"}
-        model_cfg, train_cfg = _resolve([model_cfg, TrainConfig()], args, reject)
+        init, model_cfg, fixed = None, ModelConfig(vocab_size=len(vocab)), None
+    else:
+        init = load_checkpoint(args.init)
+        if vocab is not None and vocab.id_to_token != init.vocab_tokens:
+            raise ConfigError("--vocab differs from the checkpoint vocabulary")
+        vocab, model_cfg = Vocab(init.vocab_tokens), init.model_config
+        fixed = {f.name: "fixed by the checkpoint's model config"
+                 for f in dataclasses.fields(ModelConfig)}
+    model_cfg, train_cfg = _resolve([model_cfg, TrainConfig()], args, fixed)
 
-    examples = _TASK_READERS[task](args.docs, args.labels)
+    examples = TASKS[task].read(args.docs, args.labels)
     train_set, eval_set = split_train_eval(examples)
     _print_config({"model": model_cfg, "train": train_cfg})
     print(f"task={task} train={len(train_set)} eval={len(eval_set)}")
@@ -280,19 +272,17 @@ def cmd_ablate(args) -> int:
         raise ConfigError("no ablation variants requested")
 
     vocab = _load_vocab(args.vocab)
+    model_cfg, train_cfg, pre_cfg = _resolve(
+        [ModelConfig(vocab_size=len(vocab)), TrainConfig(), PretrainConfig()], args
+    )
+    try:
+        pt_cfg = dataclasses.replace(train_cfg, steps=args.pretrain_steps)
+        ft_cfg = dataclasses.replace(train_cfg, steps=args.finetune_steps)
+    except ValueError as e:
+        raise ConfigError(f"pretrain_steps and finetune_steps: {e}") from None
     docs = read_cell_jsonl(args.corpus)
     examples = read_tagging_examples(args.form_docs, args.form_labels)
     train_set, eval_set = split_train_eval(examples)
-
-    model_cfg = ModelConfig(vocab_size=len(vocab))
-    train_cfg = TrainConfig()
-    pre_cfg = PretrainConfig()
-    reject = {"vocab_size": "derived from the vocabulary file",
-              "steps": "use pretrain_steps / finetune_steps for ablation",
-              "layout_mode": "chosen per ablation variant"}
-    model_cfg, train_cfg, pre_cfg = _resolve(
-        [model_cfg, train_cfg, pre_cfg], args, reject
-    )
     _print_config({"model": model_cfg, "train": train_cfg, "objectives": pre_cfg})
     print(f"variants={','.join(variants)} pretrain_steps={args.pretrain_steps} "
           f"finetune_steps={args.finetune_steps}")
@@ -305,23 +295,27 @@ def cmd_ablate(args) -> int:
     # Each variant runs in its own worker process, side by side with the
     # others. Every variant is seeded on its own and every worker is set up
     # alike, so a variant's results do not depend on what runs beside it.
-    common = (docs, vocab, model_cfg, train_cfg, pre_cfg, args.pretrain_steps,
-              args.finetune_steps, train_set, eval_set)
+    common = (docs, vocab, model_cfg, pt_cfg, ft_cfg, pre_cfg, train_set, eval_set)
     context = multiprocessing.get_context("spawn")
     with _one_blas_thread_per_worker(), ProcessPoolExecutor(
         max_workers=len(variants), mp_context=context,
     ) as pool:
-        futures = {v: pool.submit(_variant_job, v, *common, out / v)
+        futures = {v: pool.submit(_run_variant, v, *common, out / v)
                    for v in variants}
-        outcomes = {v: futures[v].result() for v in variants}
+    # a failed variant is marked in the table, and raised once it is written
+    failures = {v: f.exception() for v, f in futures.items() if f.exception()}
+    for variant, error in failures.items():
+        logger.error("variant %s failed", variant, exc_info=error)
+    outcomes = {v: ({"status": f"failed: {failures[v]}"}, None) if v in failures
+                else f.result() for v, f in futures.items()}
     results = {v: outcomes[v][0] for v in variants}
-    histories = {v: outcomes[v][1] for v in variants if outcomes[v][1] is not None}
+    histories = {v: outcomes[v][1] for v in variants}
 
     table_lines = [f"{'variant':<14}{'f1':>8}  status"]
     for variant in variants:
         r = results[variant]
         f1 = f"{r['f1']:.4f}" if "f1" in r else "-"
-        table_lines.append(f"{variant:<14}{f1:>8}  {r.get('status', 'ok')}")
+        table_lines.append(f"{variant:<14}{f1:>8}  {r['status']}")
 
     ordering_note = _ordering_note(results)
     if ordering_note:
@@ -337,6 +331,8 @@ def cmd_ablate(args) -> int:
         (out / "mvlm_loss_series.tsv").write_text("\n".join(series) + "\n",
                                                   encoding="utf-8")
         print(f"loss series: {out / 'mvlm_loss_series.tsv'}")
+    if failures:
+        raise next(iter(failures.values()))
     return EXIT_OK
 
 
@@ -372,29 +368,17 @@ def _one_blas_thread_per_worker():
             os.environ.pop(var, None)
 
 
-def _variant_job(variant, *args) -> tuple[dict, list | None]:
-    """One variant of the matrix; a failure is reported in its result so the
-    other variants keep going and the table marks it."""
-    try:
-        return _run_variant(variant, *args)
-    except Exception as e:
-        logger.exception("variant %s failed", variant)
-        return {"status": f"failed: {e}"}, None
-
-
-def _run_variant(variant, docs, vocab, model_cfg, train_cfg, pre_cfg,
-                 pretrain_steps, finetune_steps, train_set, eval_set,
-                 vdir) -> tuple[dict, list | None]:
+def _run_variant(variant, docs, vocab, model_cfg, pt_cfg, ft_cfg, pre_cfg,
+                 train_set, eval_set, vdir) -> tuple[dict, list | None]:
     """(result, per-step pre-training records or None)."""
     layout = "word" if variant == "word_level" else "cell"
     vcfg = dataclasses.replace(model_cfg, layout_mode=layout)
     init = None
     history = None
-    fields = {"variant": variant, "seed": train_cfg.seed,
+    fields = {"variant": variant, "seed": ft_cfg.seed,
               "blas_threads": _blas_threads()}
     if variant != "no_pretrain":
         t0 = time.time()
-        pt_cfg = dataclasses.replace(train_cfg, steps=pretrain_steps)
         trainer = Pretrainer(docs, vocab, vcfg, pt_cfg, pre_cfg,
                              use_cpc=(variant != "no_cpc"))
         with MetricsLog(vdir / "pretrain_metrics.jsonl") as mlog:
@@ -405,7 +389,6 @@ def _run_variant(variant, docs, vocab, model_cfg, train_cfg, pre_cfg,
         fields["pretrain_seconds"] = time.time() - t0
 
     t0 = time.time()
-    ft_cfg = dataclasses.replace(train_cfg, steps=finetune_steps)
     with MetricsLog(vdir / "finetune_metrics.jsonl") as mlog:
         _, report = finetune("tagging", train_set, eval_set, vocab, vcfg,
                              ft_cfg, init=init, metrics_log=mlog)
@@ -460,7 +443,7 @@ def build_parser() -> argparse.ArgumentParser:
                        add_help=True)
     p.add_argument("--config", help="key=value config file")
     p.add_argument("--out", required=True, help="output directory")
-    _add_dataclass_flags(p, SynthConfig)
+    _add_settings(p, "gen-corpus")
     p.set_defaults(handler=cmd_gen_corpus)
 
     p = sub.add_parser("pretrain", help="run MVLM+CPC pre-training")
@@ -471,9 +454,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cpc", choices=("on", "off"), default="on",
                    help="train the cell-position objective")
     p.add_argument("--resume", help="checkpoint to resume from")
-    _add_dataclass_flags(p, ModelConfig, skip=("vocab_size",))
-    _add_dataclass_flags(p, TrainConfig)
-    _add_dataclass_flags(p, PretrainConfig)
+    p.add_argument("--stop-after", type=int, metavar="STEP",
+                   help="stop after this step and save the checkpoint there "
+                        "(default: run to --steps)")
+    _add_settings(p, "pretrain")
     p.set_defaults(handler=cmd_pretrain)
 
     p = sub.add_parser("finetune", help="fine-tune on a task dataset")
@@ -485,8 +469,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="checkpoint path, or 'none' for random init")
     p.add_argument("--vocab", help="vocabulary file (required with --init none)")
     p.add_argument("--out", required=True, help="output directory")
-    _add_dataclass_flags(p, ModelConfig, skip=("vocab_size",))
-    _add_dataclass_flags(p, TrainConfig)
+    _add_settings(p, "finetune")
     p.set_defaults(handler=cmd_finetune)
 
     p = sub.add_parser("ablate", help="run the ablation matrix end to end")
@@ -500,9 +483,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma list: " + ",".join(ABLATION_VARIANTS))
     p.add_argument("--pretrain-steps", type=int, default=1200)
     p.add_argument("--finetune-steps", type=int, default=400)
-    _add_dataclass_flags(p, ModelConfig, skip=("vocab_size", "layout_mode"))
-    _add_dataclass_flags(p, TrainConfig, skip=("steps",))
-    _add_dataclass_flags(p, PretrainConfig)
+    _add_settings(p, "ablate")
     p.set_defaults(handler=cmd_ablate)
 
     p = sub.add_parser("grad-check", help="finite-difference gradient oracle")

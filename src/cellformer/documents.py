@@ -99,9 +99,11 @@ class RawDocument:
 def grid_boxes(boxes: Sequence[Sequence[float]], page_w: float,
                page_h: float) -> np.ndarray:
     """Checked pixel boxes -> int64 [N, 4] boxes on the 0..COORD_MAX grid:
-    floor(v * COORD_MAX / page_dim), clipped to [0, COORD_MAX]. Integral
-    values on an integral page take an exact integer floor, which keeps
-    boundary pixels from drifting across a unit through float rounding."""
+    floor(v * COORD_MAX / page_dim), clipped to [0, COORD_MAX]; a value at
+    or past the page dimension is COORD_MAX, which float rounding of the
+    quotient would miss on some fractional pages. Integral values on an
+    integral page take an exact integer floor, which keeps boundary pixels
+    from drifting across a unit through float rounding."""
     px = np.asarray(boxes, dtype=np.float64).reshape(-1, 4)
     dims = np.array([page_w, page_h, page_w, page_h], dtype=np.float64)
     with np.errstate(over="ignore"):  # huge values scale to inf: the edge
@@ -110,6 +112,7 @@ def grid_boxes(boxes: Sequence[Sequence[float]], page_w: float,
         exact = (px % 1 == 0) & (dims % 1 == 0) & (scaled < 2.0**53)
         grid = np.where(exact, np.where(exact, scaled, 0) // dims,
                         np.floor(scaled / dims))
+    grid = np.where(px >= dims, COORD_MAX, grid)
     return np.clip(grid, 0, COORD_MAX).astype(np.int64)
 
 

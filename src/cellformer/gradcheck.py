@@ -20,7 +20,7 @@ from .autograd import Tensor, backward, zero_grads
 from .documents import encode_document
 from .pretrain import PretrainConfig, derive_rng, make_pretrain_example
 from .synth import SynthConfig, gen_cls_dataset, gen_form_dataset, gen_qa_dataset, vocab_words
-from .tasks import TASK_HEADS, TASKS, TRAINING
+from .tasks import TASKS
 from .trainer import pretrain_batch_loss
 from .vocab import build_vocab
 
@@ -153,12 +153,11 @@ def run_grad_check(seed: int = 0) -> tuple[bool, dict[str, tuple[float, int]]]:
         "qa": gen_qa_dataset(synth_cfg, 2),
         "classification": gen_cls_dataset(synth_cfg, 3),
     }
-    for k, task in enumerate(TASKS, start=1):
-        make_items, task_loss = TRAINING[task]
-        items = make_items(task_data[task], vocab, model_cfg)
+    for k, (task, spec) in enumerate(TASKS.items(), start=1):
+        items = spec.items(task_data[task], vocab, model_cfg)
         params = M.init_parameters(model_cfg, derive_rng(seed, f"p{k}"),
-                                   heads=(TASK_HEADS[task],))
-        _check_loss(task, partial(task_loss, model_cfg=model_cfg, items=items),
+                                   heads=(spec.head,))
+        _check_loss(task, partial(spec.loss, model_cfg=model_cfg, items=items),
                     params, report, seed)
 
     passed = all(err <= REL_TOL for err, _ in report.values())

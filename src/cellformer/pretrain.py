@@ -33,17 +33,21 @@ def derive_rng(*parts) -> np.random.Generator:
 
 @dataclass
 class PretrainConfig:
-    """Corruption rates of the two objectives. A selected token is masked
+    """What pre-training alone reads: the corruption rates, the held-out
+    split and the evaluation interval. A selected token is masked
     mask_token_frac of the time, randomized random_frac of the time and
     kept otherwise; a selected cell's boxes are zeroed zero_box_frac of the
-    time and kept otherwise. The area count N belongs to the model config:
-    it sizes the position head."""
+    time and kept otherwise. Every heldout_every-th document is held out,
+    and its loss is logged every eval_every steps (0 turns either off). The
+    area count N belongs to the model config: it sizes the position head."""
 
     mask_rate: float = 0.15
     mask_token_frac: float = 0.8
     random_frac: float = 0.1
     cell_select_rate: float = 0.15
     zero_box_frac: float = 0.9
+    eval_every: int = 250
+    heldout_every: int = 50
 
     def __post_init__(self):
         if not (0.0 <= self.mask_token_frac and 0.0 <= self.random_frac

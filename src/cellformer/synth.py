@@ -134,8 +134,6 @@ class SynthConfig:
     templates: tuple[str, ...] = ("form", "letter", "receipt")
 
     def __post_init__(self):
-        if isinstance(self.templates, str):
-            self.templates = tuple(t for t in self.templates.split(",") if t)
         unknown = set(self.templates) - {"form", "letter", "receipt"}
         if unknown:
             raise ValueError(f"unknown layout templates: {sorted(unknown)}")

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -19,7 +19,7 @@ from . import autograd as ag
 from . import model as M
 from .autograd import Tensor, backward, zero_grads
 from .checkpoint import Checkpoint
-from .dataio import DataError
+from .dataio import DataError, read_cls_examples, read_qa_examples, read_tagging_examples
 from .documents import (
     TokenizedSequence, cell_tokens, encode_document, normalize_document, serialize_cells,
     stack_batch, token_boxes,
@@ -34,10 +34,6 @@ from .vocab import CLS_ID, SEP_ID, PAD_ID, Vocab, detokenize, tokenize_to_ids
 
 logger = logging.getLogger(__name__)
 
-TASKS = ("tagging", "qa", "classification")
-
-TASK_HEADS = {"tagging": "tag", "qa": "span", "classification": "cls"}
-
 
 def prepare_finetune_params(
     model_cfg: M.ModelConfig,
@@ -48,9 +44,9 @@ def prepare_finetune_params(
     """Encoder weights from a checkpoint (or fresh), plus a fresh task head;
     pre-training heads are dropped."""
     if task not in TASKS:
-        raise ValueError(f"unknown task {task!r}; expected one of {TASKS}")
-    head = TASK_HEADS[task]
-    fresh = M.init_parameters(model_cfg, derive_rng(seed, "init", task), heads=(head,))
+        raise ValueError(f"unknown task {task!r}; expected one of {tuple(TASKS)}")
+    fresh = M.init_parameters(model_cfg, derive_rng(seed, "init", task),
+                              heads=(TASKS[task].head,))
     if init is None:
         return fresh
     encoder_names = set(M.parameter_shapes(model_cfg, heads=()))
@@ -128,6 +124,16 @@ def predict_word_tags(
             tags[w] = TAG_LABELS[row[pos]]
         out.append(tags)
     return out
+
+
+def tagging_score(params, examples, vocab: Vocab, model_cfg: M.ModelConfig,
+                  batch_size: int) -> dict:
+    """Word-level precision, recall and F1 over every word of `examples`."""
+    seqs = _encode_docs([ex.doc for ex in examples], vocab, model_cfg)
+    preds = predict_word_tags(params, model_cfg, seqs, batch_size)
+    precision, recall, f1 = word_f1([t for p in preds for t in p],
+                                    [t for ex in examples for t in ex.word_labels])
+    return {"precision": precision, "recall": recall, "f1": f1}
 
 
 # -- extractive QA ---------------------------------------------------------------
@@ -276,6 +282,17 @@ def qa_predict_answer(
     return best_text
 
 
+def qa_score(params, examples, vocab: Vocab, model_cfg: M.ModelConfig,
+             batch_size: int) -> dict:
+    """ANLS of the best answer to each question, asked one at a time."""
+    texts = [
+        qa_predict_answer(params, model_cfg, vocab, qa_windows(ex, vocab, model_cfg)[0],
+                          TrainConfig.max_answer_len)
+        for ex in examples
+    ]
+    return {"anls": anls(texts, [ex.answers for ex in examples])}
+
+
 # -- classification ---------------------------------------------------------------
 
 
@@ -292,14 +309,35 @@ def classification_loss(params, model_cfg: M.ModelConfig, items, rng=None) -> Te
     return ag.softmax_cross_entropy(M.head_cls(params, hidden), labels)
 
 
+def classification_score(params, examples, vocab: Vocab, model_cfg: M.ModelConfig,
+                         batch_size: int) -> dict:
+    """Share of documents whose class is the top logit at [CLS]."""
+    seqs = _encode_docs([ex.doc for ex in examples], vocab, model_cfg)
+    logits = _head_logits(params, model_cfg, seqs, batch_size, M.head_cls)
+    gold = np.array([ex.label for ex in examples])
+    correct = int((np.argmax(logits, axis=-1) == gold).sum())
+    return {"accuracy": correct / len(examples)}
+
+
 # -- the shared fine-tuning driver -------------------------------------------------
 
 
-# task -> (examples -> training items, loss over a list of items)
-TRAINING = {
-    "tagging": (tagging_items, tagging_loss),
-    "qa": (qa_items, qa_loss),
-    "classification": (classification_items, classification_loss),
+class Task(NamedTuple):
+    """A fine-tuning task: its output head and how it reads, trains and scores."""
+
+    head: str
+    read: Callable  # (documents path, labels path) -> examples
+    items: Callable  # (examples, vocab, model config) -> training items
+    loss: Callable  # (params, model config, items, rng) -> scalar loss
+    score: Callable  # (params, examples, vocab, model config, batch size) -> report
+
+
+TASKS = {
+    "tagging": Task("tag", read_tagging_examples, tagging_items, tagging_loss,
+                    tagging_score),
+    "qa": Task("span", read_qa_examples, qa_items, qa_loss, qa_score),
+    "classification": Task("cls", read_cls_examples, classification_items,
+                           classification_loss, classification_score),
 }
 
 
@@ -316,8 +354,6 @@ def finetune(
     """Train the task head + encoder on the task loss; report the task
     metric on the eval split. Deterministic given the seed; the dropout
     masks of step k come from (seed, "dropout", task, k)."""
-    if task not in TASKS:
-        raise ValueError(f"unknown task {task!r}; expected one of {TASKS}")
     if not train_examples:
         raise ValueError("empty training dataset")
     if task == "classification":
@@ -329,12 +365,12 @@ def finetune(
     params = prepare_finetune_params(model_cfg, task, init, train_cfg.seed)
     adam = init_adam(params)
 
-    make_items, task_loss = TRAINING[task]
-    items = make_items(train_examples, vocab, model_cfg)
+    spec = TASKS[task]
+    items = spec.items(train_examples, vocab, model_cfg)
     sampler = IndexSampler(len(items), train_cfg.seed)
     for step in range(train_cfg.steps):
         batch = [items[i] for i, _ in sampler.batch(step, train_cfg.batch_size)]
-        loss = task_loss(params, model_cfg, batch,
+        loss = spec.loss(params, model_cfg, batch,
                          rng=derive_rng(train_cfg.seed, "dropout", task, step))
         zero_grads(params)
         backward(loss)
@@ -358,29 +394,5 @@ def evaluate(
     """The task's metric over a labeled example list."""
     if not eval_examples:
         raise ValueError("empty evaluation dataset")
-    if task == "tagging":
-        seqs = _encode_docs([ex.doc for ex in eval_examples], vocab, model_cfg)
-        preds = predict_word_tags(params, model_cfg, seqs, train_cfg.batch_size)
-        flat_pred: list[str] = []
-        flat_gold: list[str] = []
-        for ex, p in zip(eval_examples, preds):
-            flat_pred.extend(p)
-            flat_gold.extend(ex.word_labels)
-        precision, recall, f1 = word_f1(flat_pred, flat_gold)
-        return {"precision": precision, "recall": recall, "f1": f1}
-    if task == "qa":
-        texts = [
-            qa_predict_answer(params, model_cfg, vocab,
-                              qa_windows(ex, vocab, model_cfg)[0],
-                              train_cfg.max_answer_len)
-            for ex in eval_examples
-        ]
-        return {"anls": anls(texts, [ex.answers for ex in eval_examples])}
-    if task == "classification":
-        seqs = _encode_docs([ex.doc for ex in eval_examples], vocab, model_cfg)
-        logits = _head_logits(params, model_cfg, seqs, train_cfg.batch_size,
-                              M.head_cls)
-        gold = np.array([ex.label for ex in eval_examples])
-        correct = int((np.argmax(logits, axis=-1) == gold).sum())
-        return {"accuracy": correct / len(eval_examples)}
-    raise ValueError(f"unknown task {task!r}")
+    return TASKS[task].score(params, eval_examples, vocab, model_cfg,
+                             train_cfg.batch_size)

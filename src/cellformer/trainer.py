@@ -12,7 +12,7 @@ import copy
 import logging
 import time
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import ClassVar, Optional, Sequence
 
 import numpy as np
 
@@ -35,6 +35,11 @@ PRECISIONS = {"float32": np.float32, "float64": np.float64}
 
 @dataclass
 class TrainConfig:
+    """What both trainers read: the step count, batch size and learning-rate
+    schedule, the seed of every derived stream and the float precision.
+    `max_answer_len`, the widest QA span decoded (in document tokens), is a
+    constant, not a setting."""
+
     steps: int = 3000
     batch_size: int = 16
     # desk-scale peak rate, picked by held-out MVLM loss after 4000 steps:
@@ -42,11 +47,8 @@ class TrainConfig:
     lr: float = 2e-3
     warmup_frac: float = 0.05
     seed: int = 7
-    eval_every: int = 250
-    heldout_every: int = 50  # every k-th document is held out during pre-training
     precision: str = "float32"
-    max_answer_len: int = 6  # span search width for QA fine-tuning
-    stop_after: int = 0  # pause after this step (0 = run to `steps`)
+    max_answer_len: ClassVar[int] = 6
 
     def __post_init__(self):
         if self.steps <= 0:
@@ -57,8 +59,6 @@ class TrainConfig:
             raise ValueError(f"precision must be one of {sorted(PRECISIONS)}")
         if not 0.0 <= self.warmup_frac < 1.0:
             raise ValueError("warmup_frac must be in [0, 1)")
-        if self.stop_after < 0 or self.stop_after > self.steps:
-            raise ValueError("stop_after must be in [0, steps]")
 
 
 def lr_at(step: int, cfg: TrainConfig) -> float:
@@ -133,6 +133,20 @@ class Pretrainer:
         use_cpc: bool = True,
         resume: Optional[Checkpoint] = None,
     ):
+        heads = M.PRETRAIN_HEADS if use_cpc else ("mlm",)
+        if resume is not None:  # checked before any document is encoded
+            if resume.model_config != model_cfg:
+                raise ValueError(f"checkpoint model config {resume.model_config} "
+                                 f"does not match the requested {model_cfg}")
+            if resume.vocab_tokens != vocab.id_to_token:
+                raise ValueError("checkpoint vocabulary differs from the training one")
+            if resume.precision != train_cfg.precision:
+                raise ValueError(f"cannot resume a {resume.precision} checkpoint at "
+                                 f"{train_cfg.precision}; precision must match exactly")
+            found = M.heads_present(resume.arrays)
+            if found != heads:
+                raise ValueError(f"cannot resume a checkpoint with heads {found} with "
+                                 f"cpc {'on' if use_cpc else 'off'}, which trains {heads}")
         ag.set_dtype(PRECISIONS[train_cfg.precision])
         self.vocab = vocab
         self.model_cfg = model_cfg
@@ -146,14 +160,13 @@ class Pretrainer:
             encode_document(d, vocab, model_cfg.max_len, model_cfg.layout_mode)
             for d in docs
         ]
-        k = train_cfg.heldout_every
+        k = pre_cfg.heldout_every
         self.heldout = [s for i, s in enumerate(encoded) if k and i % k == k - 1]
         self.train_seqs = [s for i, s in enumerate(encoded) if not (k and i % k == k - 1)]
         if not self.train_seqs:
             raise ValueError("no training documents after held-out split")
 
         self.sampler = IndexSampler(len(self.train_seqs), train_cfg.seed)
-        heads = M.PRETRAIN_HEADS if use_cpc else ("mlm",)
         if resume is None:
             init_rng = derive_rng(train_cfg.seed, "init")
             self.params = M.init_parameters(model_cfg, init_rng, heads=heads)
@@ -161,17 +174,6 @@ class Pretrainer:
             self.start_step = 0
             self.rng = derive_rng(train_cfg.seed, "trainer")
         else:
-            if resume.precision != train_cfg.precision:
-                raise ValueError(
-                    f"cannot resume a {resume.precision} checkpoint at "
-                    f"{train_cfg.precision}; precision must match exactly"
-                )
-            found = M.heads_present(resume.arrays)
-            if found != heads:
-                raise ValueError(
-                    f"cannot resume a checkpoint with heads {found} with cpc "
-                    f"{'on' if use_cpc else 'off'}, which trains {heads}"
-                )
             # copies: resuming leaves the checkpoint as it is
             self.params = resume.parameters()
             self.adam = (init_adam(self.params) if resume.adam is None
@@ -249,7 +251,7 @@ class Pretrainer:
             if metrics_log is not None:
                 metrics_log.write(record)
 
-            if self.train_cfg.eval_every and (step + 1) % self.train_cfg.eval_every == 0:
+            if self.pre_cfg.eval_every and (step + 1) % self.pre_cfg.eval_every == 0:
                 ev = self.evaluate_heldout()
                 ev["step"] = step
                 if eval_log is not None:

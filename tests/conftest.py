@@ -10,12 +10,13 @@ from cellformer.autograd import Tensor
 
 @pytest.fixture
 def weighted_sum():
-    """`reduce(t, w)`: the scalar sum of `t * w` for a constant array `w`,
-    built from matmul and reshape alone, to turn an op's output into the
-    scalar loss a gradient test differentiates."""
+    """`reduce(t, w)`: the scalar sum of `t * w` for a constant array or a
+    tensor `w`, built from matmul and reshape alone, to turn an op's output
+    into the scalar loss a gradient test differentiates."""
 
     def reduce(t, w):
-        return ag.matmul(t.reshape(1, -1), Tensor(np.reshape(w, (-1, 1))))
+        w = w if isinstance(w, Tensor) else Tensor(np.asarray(w))
+        return ag.matmul(t.reshape(1, -1), w.reshape(-1, 1))
 
     return reduce
 

@@ -108,7 +108,7 @@ def pipe(tmp_path_factory) -> Pipeline:
         "--labels", str(corpus_dir / "qa_labels.jsonl"),
         "--init", str(full_ckpt), "--out", str(root / "ft_qa"),
         "--steps", str(QA_STEPS), "--batch-size", "8",
-        "--seed", str(SEED), "--eval-every", "0",
+        "--seed", str(SEED),
     ]) == 0
     pipe.reports["qa"] = read_report(root / "ft_qa" / "report.txt")
 
@@ -118,7 +118,7 @@ def pipe(tmp_path_factory) -> Pipeline:
         "--labels", str(corpus_dir / "cls_labels.jsonl"),
         "--init", str(full_ckpt), "--out", str(root / "ft_cls"),
         "--steps", str(CLS_STEPS), "--batch-size", "8",
-        "--seed", str(SEED), "--eval-every", "0",
+        "--seed", str(SEED),
     ]) == 0
     pipe.reports["cls"] = read_report(root / "ft_cls" / "report.txt")
     return pipe

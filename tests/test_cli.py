@@ -1,12 +1,14 @@
 """Command-line contracts: determinism of generated files, config precedence
 and rejection, exit codes, and the pretrain/finetune surfaces on tiny runs."""
 
+import argparse
 import json
 
 import pytest
 
+from cellformer import trainer
 from cellformer.checkpoint import load_checkpoint
-from cellformer.cli import main
+from cellformer.cli import build_parser, main
 from cellformer.dataio import read_metrics
 
 TINY_GEN = [
@@ -258,6 +260,49 @@ def test_resume_with_other_heads_is_config_error(pipeline, tmp_path, capsys, cpc
     assert not (tmp_path / "r").exists()
 
 
+@pytest.mark.parametrize("mismatch", ["model", "vocab", "precision", "heads"])
+def test_resume_mismatch_is_config_error_before_any_encoding(
+        pipeline, tmp_path, capsys, monkeypatch, mismatch):
+    _, out, pre = pipeline
+    args = command_args(out, "pretrain", tmp_path / "r")
+    args += ["--steps", "10", "--resume", str(pre / "checkpoint.ckpt")]
+    if mismatch == "model":
+        args += ["--num-layers", "2"]
+    elif mismatch == "vocab":  # the same tokens in another order
+        tokens = (out / "vocab.txt").read_text().splitlines()
+        tokens[5], tokens[6] = tokens[6], tokens[5]
+        (tmp_path / "vocab.txt").write_text("\n".join(tokens) + "\n")
+        args[args.index("--vocab") + 1] = str(tmp_path / "vocab.txt")
+    elif mismatch == "precision":
+        args += ["--precision", "float64"]
+    else:
+        args += ["--cpc", "off"]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a document was encoded")
+
+    monkeypatch.setattr(trainer, "encode_document", refuse)
+    assert main(args) == 1
+    message = {"model": "model config", "vocab": "vocabulary"}.get(mismatch, mismatch)
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
+
+
+@pytest.mark.parametrize("extra", [
+    ["--stop-after", "11"], ["--stop-after", "-1"],
+    ["--stop-after", "5", "--resume", "checkpoint"],
+    ["--steps", "6", "--resume", "checkpoint"],
+], ids=["past-steps", "negative", "resume-past-stop", "resume-past-steps"])
+def test_pretrain_stop_outside_the_run_is_config_error(pipeline, tmp_path, capsys,
+                                                       extra):
+    _, out, pre = pipeline
+    extra = [str(pre / "checkpoint.ckpt") if a == "checkpoint" else a for a in extra]
+    args = command_args(out, "pretrain", tmp_path / "r") + ["--steps", "10", *extra]
+    assert main(args) == 1
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
+
+
 def test_pretrain_mask_token_frac_alone_keeps_the_remainder(pipeline, tmp_path,
                                                             capsys):
     _, out, _ = pipeline
@@ -309,20 +354,106 @@ def test_removed_layout_mode_spellings_are_config_errors(pipeline, tmp_path, cap
     assert "unknown layout mode" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("flag", [
-    ["--keep-frac", "0.1"], ["--ignore-label", "5"], ["--coord-vocab", "500"],
-    ["--num-tag-labels", "5"], ["--exact-count", "true"],
-], ids=lambda f: f[0])
-def test_removed_flags_are_rejected(pipeline, tmp_path, capsys, flag):
+def command_args(out, command, run_dir):
+    """A short `command` run on the tiny corpus into `run_dir`."""
+    if command == "pretrain":
+        args = ["pretrain", "--corpus", str(out / "pretrain_docs.jsonl"),
+                "--vocab", str(out / "vocab.txt"), "--steps", "2"]
+    elif command == "finetune":
+        args = ["finetune", "--task", "tagging", "--docs", str(out / "form_docs.jsonl"),
+                "--labels", str(out / "form_labels.jsonl"), "--init", "none",
+                "--vocab", str(out / "vocab.txt"), "--steps", "2"]
+    else:
+        args = ["ablate", "--corpus", str(out / "pretrain_docs.jsonl"),
+                "--vocab", str(out / "vocab.txt"),
+                "--form-docs", str(out / "form_docs.jsonl"),
+                "--form-labels", str(out / "form_labels.jsonl"),
+                "--variants", "no_pretrain", "--pretrain-steps", "2",
+                "--finetune-steps", "2"]
+    return args + ["--out", str(run_dir)] + TINY_MODEL
+
+
+REMOVED_FLAGS = [
+    ("pretrain", ["--keep-frac", "0.1"]), ("pretrain", ["--ignore-label", "5"]),
+    ("pretrain", ["--coord-vocab", "500"]), ("pretrain", ["--num-tag-labels", "5"]),
+    ("pretrain", ["--exact-count", "true"]), ("pretrain", ["--max-answer-len", "99"]),
+    ("finetune", ["--stop-after", "2"]), ("finetune", ["--eval-every", "1"]),
+    ("finetune", ["--heldout-every", "3"]), ("finetune", ["--max-answer-len", "99"]),
+    ("ablate", ["--stop-after", "2"]), ("ablate", ["--max-answer-len", "99"]),
+]
+
+
+@pytest.mark.parametrize("command,flag", [
+    pytest.param(c, f, id=f[0] if c == "pretrain" else f"{c} {f[0]}")
+    for c, f in REMOVED_FLAGS
+])
+def test_removed_flags_are_rejected(pipeline, tmp_path, capsys, command, flag):
     _, out, _ = pipeline
-    code = main([
-        "pretrain", "--corpus", str(out / "pretrain_docs.jsonl"),
-        "--vocab", str(out / "vocab.txt"), "--out", str(tmp_path / "x"),
-        "--steps", "2",
-    ] + TINY_MODEL + flag)
+    code = main(command_args(out, command, tmp_path / "x") + flag)
     assert code == 1
     assert flag[0] in capsys.readouterr().err
     assert not (tmp_path / "x").exists()
+
+
+# every setting each command reads: a config field or, for pretrain,
+# --stop-after; the other arguments name files, the task or the variants
+MODEL_SETTINGS = {"num_layers", "num_heads", "hidden_d", "ffn_d", "max_len",
+                  "num_areas", "num_doc_classes", "layout_mode", "dropout",
+                  "layer_norm_eps"}
+TRAIN_SETTINGS = {"steps", "batch_size", "lr", "warmup_frac", "seed", "precision"}
+OBJECTIVE_SETTINGS = {"mask_rate", "mask_token_frac", "random_frac",
+                      "cell_select_rate", "zero_box_frac", "eval_every",
+                      "heldout_every"}
+SETTINGS = {
+    "pretrain": MODEL_SETTINGS | TRAIN_SETTINGS | OBJECTIVE_SETTINGS | {"stop_after"},
+    "finetune": MODEL_SETTINGS | TRAIN_SETTINGS,
+    "ablate": (MODEL_SETTINGS - {"layout_mode"}) | (TRAIN_SETTINGS - {"steps"})
+    | OBJECTIVE_SETTINGS,
+}
+OTHER_ARGUMENTS = {
+    "pretrain": {"config", "corpus", "vocab", "out", "cpc", "resume"},
+    "finetune": {"config", "task", "docs", "labels", "init", "vocab", "out"},
+    "ablate": {"config", "corpus", "vocab", "form_docs", "form_labels", "out",
+               "variants", "pretrain_steps", "finetune_steps"},
+}
+
+
+@pytest.mark.parametrize("command,count", [("pretrain", 24), ("finetune", 16),
+                                           ("ablate", 21)])
+def test_each_command_takes_only_the_settings_it_reads(command, count):
+    (commands,) = [a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction)]
+    dests = {a.dest for a in commands.choices[command]._actions} - {"help"}
+    assert dests == SETTINGS[command] | OTHER_ARGUMENTS[command]
+    assert len(SETTINGS[command]) == count
+
+
+@pytest.mark.parametrize("flag", ["--pretrain-steps", "--finetune-steps"])
+def test_ablate_zero_steps_is_config_error_before_any_work(pipeline, tmp_path, capsys,
+                                                          flag):
+    _, out, _ = pipeline
+    code = main(command_args(out, "ablate", tmp_path / "x")
+                + ["--variants", "full", flag, "0"])
+    assert code == 1
+    assert "steps must be positive" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
+def test_ablate_exits_with_the_first_failed_variants_error(pipeline, tmp_path, capsys):
+    _, out, _ = pipeline
+    lines = (out / "form_labels.jsonl").read_text().splitlines()
+    rec = json.loads(lines[0])  # the first example is in the training split
+    rec["word_labels"].pop()
+    lines[0] = json.dumps(rec)
+    labels = tmp_path / "form_labels.jsonl"
+    labels.write_text("\n".join(lines) + "\n")
+    args = command_args(out, "ablate", tmp_path / "ab")
+    args[args.index("--form-labels") + 1] = str(labels)
+    assert main(args) == 2
+    assert "labels for" in capsys.readouterr().err
+    table = (tmp_path / "ab" / "ablation.txt").read_text().splitlines()
+    assert table[1].startswith("no_pretrain") and "failed: " in table[1]
+
 
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 

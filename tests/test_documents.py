@@ -53,7 +53,10 @@ def test_grid_boxes_monotone_and_idempotent():
 
 
 def _old_scale(value, page_dim):
-    """The scalar formula `grid_boxes` replaced, kept as its reference."""
+    """The scalar formula `grid_boxes` replaced, kept as its reference, with
+    the page edge rule: a value at or past the page dimension is 1000."""
+    if value >= page_dim:
+        return 1000
     if float(value).is_integer() and float(page_dim).is_integer():
         return min(max(int(value) * 1000 // int(page_dim), 0), 1000)
     return min(max(math.floor(value * 1000 / page_dim), 0), 1000)
@@ -99,10 +102,10 @@ def test_clamp_on_ingest_warns(tmp_path, caplog):
 
 
 def test_past_the_page_is_the_grid_edge_on_a_fractional_page():
-    # float rounding puts this page's own edge pixel at 999, but a
-    # coordinate past the page still maps to the grid edge
+    # float rounding puts floor(page * 1000 / page) at 999 on this page, yet
+    # its own edge maps to the grid edge, as does a coordinate past it
     page = 4222.264835773715
-    assert _grid((0, 0, page, page), page, page) == (0, 0, 999, 999)
+    assert _grid((0, 0, page, page), page, page) == (0, 0, 1000, 1000)
     assert _grid((0, 0, page + 1, page * 2), page, page) == (0, 0, 1000, 1000)
 
 
@@ -311,14 +314,17 @@ def test_encode_box_equality_iff_same_cell_on_synthetic_docs():
 
 # -- pinned ingest outputs ---------------------------------------------------------
 
-# sha256 of `_ingest_digest()`, computed on the scalar normalization code that
-# `grid_boxes` and the by-index box lookup replaced (commit c780c75)
-INGEST_DIGEST = "9ba1b7d391d5562da5b6cd23b8423eafe1c8f269fefc6c427eb95935f51b0413"
+# sha256 of `_ingest_digest()`. Without the documents that end on a page's
+# own edge, the inputs hash to 9ba1b7d3..., as on the scalar normalization
+# code that `grid_boxes` and the by-index box lookup replaced (commit
+# c780c75). Of those documents, the edge rule moves frac12 and frac37.
+INGEST_DIGEST = "6aa8bd49e534abf5d4d5aa37d87fedabf23200e341d6071a8cf4f982b5d5b99e"
 
 
 def _on_fractional_page(doc, i):
     """`doc` rescaled onto a fractional page; odd documents drop their word
-    boxes (split boxes) and every fifth pushes its last cell past the page."""
+    boxes (split boxes), every fifth pushes its last cell past the page and
+    every fifth from the third ends its last cell on the page's own edge."""
     w, h = 612.5 + 0.37 * i, 791.3 + 1.9 * i
     sx, sy = w / 1000, h / 1000
 
@@ -329,9 +335,10 @@ def _on_fractional_page(doc, i):
     cells = [RawCell(c.text, scale(c.box),
                      [scale(b) for b in c.word_boxes] if i % 2 == 0 else None)
              for c in doc.cells]
-    if i % 5 == 0:
+    if i % 5 in (0, 2):
         x0, y0, _, _ = cells[-1].box
-        cells[-1] = RawCell(cells[-1].text, (x0, y0, w * 1.07, h + 3.5))
+        edge = (w * 1.07, h + 3.5) if i % 5 == 0 else (w, h)
+        cells[-1] = RawCell(cells[-1].text, (x0, y0, *edge))
     return RawDocument(f"frac{i}", w, h, cells)
 
 

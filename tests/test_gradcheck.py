@@ -27,9 +27,9 @@ def test_run_grad_check_passes_within_budget(monkeypatch):
     assert gradcheck.pretrain_batch_loss is trainer.pretrain_batch_loss
     monkeypatch.setattr(gradcheck, "pretrain_batch_loss",
                         counting("pretrain", trainer.pretrain_batch_loss))
-    for task, (make_items, task_loss) in tasks.TRAINING.items():
-        monkeypatch.setitem(tasks.TRAINING, task,
-                            (make_items, counting(task, task_loss)))
+    for task, spec in tasks.TASKS.items():
+        monkeypatch.setitem(tasks.TASKS, task,
+                            spec._replace(loss=counting(task, spec.loss)))
 
     t0 = time.time()
     passed, report = run_grad_check(seed=0)
@@ -74,7 +74,7 @@ def test_phantom_gradient_is_caught(weighted_sum):
 
     def loss_fn(p):
         # `dead` never enters the loss; fake a gradient for it afterwards
-        return weighted_sum(p["w"] * p["w"], np.ones(3))
+        return weighted_sum(p["w"], p["w"])
 
     report = finite_difference_errors(loss_fn, {"w": w, "dead": dead}, seed=0)
     assert report["w"][0] <= REL_TOL
@@ -86,7 +86,7 @@ def test_phantom_gradient_is_caught(weighted_sum):
     lying = Tensor(np.ones(3), requires_grad=True)
 
     def lying_loss(p):
-        out = weighted_sum(p["w"] * p["w"], np.ones(3))
+        out = weighted_sum(p["w"], p["w"])
         p["lying"].grad = np.ones(3)  # claims a gradient it cannot have
         return out
 

@@ -160,8 +160,7 @@ def test_prepare_params_heads(model_cfg):
 
 def test_finetune_memorizes_single_tagging_example(vocab, model_cfg):
     ex = gen_form_dataset(SYNTH, 2)[0]
-    cfg = TrainConfig(steps=150, batch_size=1, lr=3e-3, seed=1, eval_every=0,
-                      precision="float64")
+    cfg = TrainConfig(steps=150, batch_size=1, lr=3e-3, seed=1, precision="float64")
     params, report = finetune("tagging", [ex], [ex], vocab, model_cfg, cfg)
     assert report["f1"] == 1.0
 
@@ -172,8 +171,7 @@ def test_finetune_random_labels_near_chance(vocab, model_cfg):
     for ex in data:
         ex.label = int(rng.integers(3))
     train, eval_ = split_train_eval(data)
-    cfg = TrainConfig(steps=40, batch_size=4, lr=1e-3, seed=2, eval_every=0,
-                      precision="float64")
+    cfg = TrainConfig(steps=40, batch_size=4, lr=1e-3, seed=2, precision="float64")
     _, report = finetune("classification", train, eval_, vocab, model_cfg, cfg)
     assert report["accuracy"] <= 0.7  # no signal: far from ceiling
 
@@ -199,14 +197,14 @@ def test_finetune_rejects_a_class_label_outside_the_classes(vocab, model_cfg, sp
 def test_finetune_leaves_its_init_checkpoint_unchanged(vocab, model_cfg, tmp_path):
     docs = [ex.doc for ex in gen_form_dataset(SYNTH, 8)]
     trainer = Pretrainer(docs, vocab, model_cfg,
-                         TrainConfig(steps=2, batch_size=4, eval_every=0,
-                                     heldout_every=0), PretrainConfig())
+                         TrainConfig(steps=2, batch_size=4),
+                         PretrainConfig(eval_every=0, heldout_every=0))
     trainer.run()
     ck = trainer.to_checkpoint()  # float32 arrays shared with the trainer
     path = tmp_path / "pre.ckpt"
     save_checkpoint(path, ck)
     before = {k: v.copy() for k, v in ck.arrays.items()}
-    cfg = TrainConfig(steps=4, batch_size=2, seed=4, eval_every=0)  # float32 too
+    cfg = TrainConfig(steps=4, batch_size=2, seed=4)  # float32 too
 
     def two_finetunes(init_of):
         out = []
@@ -229,8 +227,7 @@ def test_finetune_leaves_its_init_checkpoint_unchanged(vocab, model_cfg, tmp_pat
 @pytest.mark.parametrize("task", TASKS)
 def test_finetune_with_dropout_is_seeded(task, vocab, model_cfg):
     train, eval_ = split_train_eval(TASK_DATA[task](SYNTH, 10))
-    cfg = TrainConfig(steps=4, batch_size=2, seed=3, eval_every=0,
-                      precision="float64")
+    cfg = TrainConfig(steps=4, batch_size=2, seed=3, precision="float64")
     dropped = dataclasses.replace(model_cfg, dropout=0.1)
     (a, report_a), (b, report_b), (plain, _) = [
         finetune(task, train, eval_, vocab, mc, cfg)

@@ -15,7 +15,7 @@ from cellformer.synth import SynthConfig, gen_pretrain_doc, vocab_words
 from cellformer.trainer import (
     IndexSampler, Pretrainer, TrainConfig, lr_at, pretrain_batch_loss,
 )
-from cellformer.vocab import build_vocab
+from cellformer.vocab import Vocab, build_vocab
 
 
 def tiny_setup(n_docs=24):
@@ -65,10 +65,11 @@ def test_index_sampler_covers_each_epoch():
 def test_pretrainer_loss_decreases_and_is_deterministic():
     docs, vocab, model_cfg = tiny_setup()
     train_cfg = TrainConfig(steps=30, batch_size=4, lr=3e-3, seed=5,
-                            eval_every=0, heldout_every=6, precision="float64")
+                            precision="float64")
+    pre_cfg = PretrainConfig(eval_every=0, heldout_every=6)
     runs = []
     for _ in range(2):
-        trainer = Pretrainer(docs, vocab, model_cfg, train_cfg, PretrainConfig())
+        trainer = Pretrainer(docs, vocab, model_cfg, train_cfg, pre_cfg)
         runs.append(trainer.run())
     assert runs[0] == runs[1]  # bit-identical histories
     first = runs[0][0]["mvlm_loss"]
@@ -79,9 +80,9 @@ def test_pretrainer_loss_decreases_and_is_deterministic():
 
 def test_masked_row_loss_equals_the_full_vocabulary_projection():
     docs, vocab, model_cfg = tiny_setup(8)
-    train_cfg = TrainConfig(steps=4, batch_size=4, seed=5, eval_every=0,
-                            heldout_every=0, precision="float64")
-    trainer = Pretrainer(docs, vocab, model_cfg, train_cfg, PretrainConfig())
+    train_cfg = TrainConfig(steps=4, batch_size=4, seed=5, precision="float64")
+    trainer = Pretrainer(docs, vocab, model_cfg, train_cfg,
+                         PretrainConfig(eval_every=0, heldout_every=0))
     examples = trainer._batch_examples(0)
     params = trainer.params
     loss, metrics = pretrain_batch_loss(params, model_cfg, examples, True)
@@ -98,10 +99,9 @@ def test_masked_row_loss_equals_the_full_vocabulary_projection():
 
 def test_cpc_off_removes_component_and_head(tmp_path):
     docs, vocab, model_cfg = tiny_setup(12)
-    train_cfg = TrainConfig(steps=5, batch_size=4, seed=5, eval_every=0,
-                            precision="float64")
-    trainer = Pretrainer(docs, vocab, model_cfg, train_cfg, PretrainConfig(),
-                         use_cpc=False)
+    train_cfg = TrainConfig(steps=5, batch_size=4, seed=5, precision="float64")
+    trainer = Pretrainer(docs, vocab, model_cfg, train_cfg,
+                         PretrainConfig(eval_every=0), use_cpc=False)
     history = trainer.run()
     assert all(set(r) == {"step", "lr", "mvlm_loss"} for r in history)
     ck = trainer.to_checkpoint()
@@ -113,10 +113,10 @@ def test_cpc_off_removes_component_and_head(tmp_path):
 
 def test_resume_matches_uninterrupted_run(tmp_path):
     docs, vocab, model_cfg = tiny_setup(12)
-    pre_cfg = PretrainConfig()
+    pre_cfg = PretrainConfig(eval_every=0)
 
     full_cfg = TrainConfig(steps=30, batch_size=4, lr=3e-3, seed=9,
-                           eval_every=0, precision="float64")
+                           precision="float64")
     full = Pretrainer(docs, vocab, model_cfg, full_cfg, pre_cfg).run()
 
     # same config, interrupted at step 20
@@ -137,18 +137,18 @@ def test_resume_matches_uninterrupted_run(tmp_path):
 def test_dropout_training_is_seeded_and_resumable(tmp_path):
     docs, vocab, model_cfg = tiny_setup(12)
     dropped = dataclasses.replace(model_cfg, dropout=0.1)
-    cfg = TrainConfig(steps=10, batch_size=4, lr=3e-3, seed=9, eval_every=5,
-                      heldout_every=6, precision="float64")
-    full = Pretrainer(docs, vocab, dropped, cfg, PretrainConfig())
+    cfg = TrainConfig(steps=10, batch_size=4, lr=3e-3, seed=9, precision="float64")
+    pre_cfg = PretrainConfig(eval_every=5, heldout_every=6)
+    full = Pretrainer(docs, vocab, dropped, cfg, pre_cfg)
     history = full.run()
-    assert history == Pretrainer(docs, vocab, dropped, cfg, PretrainConfig()).run()
-    assert history != Pretrainer(docs, vocab, model_cfg, cfg, PretrainConfig()).run()
+    assert history == Pretrainer(docs, vocab, dropped, cfg, pre_cfg).run()
+    assert history != Pretrainer(docs, vocab, model_cfg, cfg, pre_cfg).run()
 
-    short = Pretrainer(docs, vocab, dropped, cfg, PretrainConfig())
+    short = Pretrainer(docs, vocab, dropped, cfg, pre_cfg)
     short.run(stop_after=6)
     path = tmp_path / "mid.ckpt"
     save_checkpoint(path, short.to_checkpoint(step=6))
-    resumed = Pretrainer(docs, vocab, dropped, cfg, PretrainConfig(),
+    resumed = Pretrainer(docs, vocab, dropped, cfg, pre_cfg,
                          resume=load_checkpoint(path))
     assert resumed.run() == history[6:]
 
@@ -160,24 +160,22 @@ def test_dropout_training_is_seeded_and_resumable(tmp_path):
 
 def test_resume_requires_matching_precision(tmp_path):
     docs, vocab, model_cfg = tiny_setup(12)
-    cfg64 = TrainConfig(steps=3, batch_size=4, seed=9, eval_every=0,
-                        precision="float64")
-    t = Pretrainer(docs, vocab, model_cfg, cfg64, PretrainConfig())
+    cfg64 = TrainConfig(steps=3, batch_size=4, seed=9, precision="float64")
+    t = Pretrainer(docs, vocab, model_cfg, cfg64, PretrainConfig(eval_every=0))
     t.run()
     path = tmp_path / "p.ckpt"
     save_checkpoint(path, t.to_checkpoint(step=3))
-    cfg32 = TrainConfig(steps=6, batch_size=4, seed=9, eval_every=0,
-                        precision="float32")
+    cfg32 = TrainConfig(steps=6, batch_size=4, seed=9, precision="float32")
     with pytest.raises(ValueError, match="precision"):
-        Pretrainer(docs, vocab, model_cfg, cfg32, PretrainConfig(),
+        Pretrainer(docs, vocab, model_cfg, cfg32, PretrainConfig(eval_every=0),
                    resume=load_checkpoint(path))
 
 
 def test_heldout_eval_reports_cpc_accuracy():
     docs, vocab, model_cfg = tiny_setup(24)
-    train_cfg = TrainConfig(steps=3, batch_size=4, seed=5, eval_every=0,
-                            heldout_every=4, precision="float64")
-    trainer = Pretrainer(docs, vocab, model_cfg, train_cfg, PretrainConfig())
+    train_cfg = TrainConfig(steps=3, batch_size=4, seed=5, precision="float64")
+    trainer = Pretrainer(docs, vocab, model_cfg, train_cfg,
+                         PretrainConfig(eval_every=0, heldout_every=4))
     trainer.run()
     ev = trainer.evaluate_heldout()
     assert set(ev) == {"eval_mvlm_loss", "eval_cpc_acc"}
@@ -187,9 +185,9 @@ def test_heldout_eval_reports_cpc_accuracy():
 
 def test_heldout_eval_without_graph_matches_graph_forward(graph_free_vs_graph):
     docs, vocab, model_cfg = tiny_setup(24)
-    train_cfg = TrainConfig(steps=3, batch_size=4, seed=5, eval_every=0,
-                            heldout_every=3, precision="float64")
-    trainer = Pretrainer(docs, vocab, model_cfg, train_cfg, PretrainConfig())
+    train_cfg = TrainConfig(steps=3, batch_size=4, seed=5, precision="float64")
+    trainer = Pretrainer(docs, vocab, model_cfg, train_cfg,
+                         PretrainConfig(eval_every=0, heldout_every=3))
     trainer.run()
     for p in trainer.params.values():
         p.grad = None
@@ -201,16 +199,16 @@ def test_heldout_eval_without_graph_matches_graph_forward(graph_free_vs_graph):
 
 def test_resume_leaves_the_checkpoint_unchanged():
     docs, vocab, model_cfg = tiny_setup(12)
-    cfg = TrainConfig(steps=6, batch_size=4, seed=9, eval_every=0,
-                      precision="float64")
-    short = Pretrainer(docs, vocab, model_cfg, cfg, PretrainConfig())
+    cfg = TrainConfig(steps=6, batch_size=4, seed=9, precision="float64")
+    pre_cfg = PretrainConfig(eval_every=0)
+    short = Pretrainer(docs, vocab, model_cfg, cfg, pre_cfg)
     short.run(stop_after=3)
     ck = short.to_checkpoint(step=3)
     arrays = {k: v.copy() for k, v in ck.arrays.items()}
     first = {k: v.copy() for k, v in ck.adam.first_moment.items()}
     second = {k: v.copy() for k, v in ck.adam.second_moment.items()}
 
-    resumed = Pretrainer(docs, vocab, model_cfg, cfg, PretrainConfig(), resume=ck)
+    resumed = Pretrainer(docs, vocab, model_cfg, cfg, pre_cfg, resume=ck)
     assert len(resumed.run()) == 3
     assert ck.adam.step_count == 3
     for saved, now in ((arrays, ck.arrays), (first, ck.adam.first_moment),
@@ -223,9 +221,9 @@ def test_resume_leaves_the_checkpoint_unchanged():
 
 def test_checkpoint_is_a_snapshot_that_training_on_leaves_alone(tmp_path):
     docs, vocab, model_cfg = tiny_setup(12)
-    cfg = TrainConfig(steps=6, batch_size=4, seed=9, eval_every=0,
-                      precision="float64")
-    t = Pretrainer(docs, vocab, model_cfg, cfg, PretrainConfig())
+    cfg = TrainConfig(steps=6, batch_size=4, seed=9, precision="float64")
+    pre_cfg = PretrainConfig(eval_every=0)
+    t = Pretrainer(docs, vocab, model_cfg, cfg, pre_cfg)
     t.run(stop_after=3)
     ck = t.to_checkpoint(step=3)
     save_checkpoint(tmp_path / "before.ckpt", ck)
@@ -240,10 +238,28 @@ def test_checkpoint_is_a_snapshot_that_training_on_leaves_alone(tmp_path):
 @pytest.mark.parametrize("saved_cpc", [True, False], ids=["cpc_to_off", "mlm_to_on"])
 def test_resume_requires_matching_heads(saved_cpc):
     docs, vocab, model_cfg = tiny_setup(12)
-    cfg = TrainConfig(steps=6, batch_size=4, seed=9, eval_every=0,
-                      precision="float64")
-    t = Pretrainer(docs, vocab, model_cfg, cfg, PretrainConfig(), use_cpc=saved_cpc)
+    cfg = TrainConfig(steps=6, batch_size=4, seed=9, precision="float64")
+    pre_cfg = PretrainConfig(eval_every=0)
+    t = Pretrainer(docs, vocab, model_cfg, cfg, pre_cfg, use_cpc=saved_cpc)
     t.run(stop_after=3)
     with pytest.raises(ValueError, match="heads"):
-        Pretrainer(docs, vocab, model_cfg, cfg, PretrainConfig(),
+        Pretrainer(docs, vocab, model_cfg, cfg, pre_cfg,
                    use_cpc=not saved_cpc, resume=t.to_checkpoint(step=3))
+
+
+@pytest.mark.parametrize("mismatch", ["model", "vocab"])
+def test_resume_requires_matching_model_config_and_vocabulary(mismatch):
+    docs, vocab, model_cfg = tiny_setup(12)
+    cfg = TrainConfig(steps=6, batch_size=4, seed=9, precision="float64")
+    t = Pretrainer(docs, vocab, model_cfg, cfg, PretrainConfig(eval_every=0))
+    t.run(stop_after=3)
+    if mismatch == "model":
+        model_cfg = dataclasses.replace(model_cfg, num_layers=2)
+    else:  # the same tokens in another order
+        tokens = list(vocab.id_to_token)
+        tokens[5], tokens[6] = tokens[6], tokens[5]
+        vocab = Vocab(tokens)
+    with pytest.raises(ValueError, match="model config" if mismatch == "model"
+                       else "vocabulary"):
+        Pretrainer(docs, vocab, model_cfg, cfg, PretrainConfig(eval_every=0),
+                   resume=t.to_checkpoint(step=3))
