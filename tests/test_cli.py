@@ -278,7 +278,7 @@ def test_resume_mismatch_is_config_error_before_any_encoding(
     else:
         args += ["--cpc", "off"]
 
-    def refuse(*args, **kwargs):
+    def refuse(*_, **__):
         raise AssertionError("a document was encoded")
 
     monkeypatch.setattr(trainer, "encode_document", refuse)
