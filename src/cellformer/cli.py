@@ -264,10 +264,8 @@ def cmd_ablate(args) -> int:
     variants = tuple(v.strip() for v in args.variants.split(",") if v.strip())
     unknown = set(variants) - set(ABLATION_VARIANTS)
     if unknown:
-        raise ConfigError(
-            f"unknown ablation variants {sorted(unknown)}; "
-            f"valid: {', '.join(ABLATION_VARIANTS)}"
-        )
+        raise ConfigError(f"unknown ablation variants {sorted(unknown)}; "
+                          f"valid: {', '.join(ABLATION_VARIANTS)}")
     if not variants:
         raise ConfigError("no ablation variants requested")
 
@@ -275,8 +273,9 @@ def cmd_ablate(args) -> int:
     model_cfg, train_cfg, pre_cfg = _resolve(
         [ModelConfig(vocab_size=len(vocab)), TrainConfig(), PretrainConfig()], args
     )
-    try:
-        pt_cfg = dataclasses.replace(train_cfg, steps=args.pretrain_steps)
+    try:  # pretrain_steps only matters to a variant that pre-trains
+        pt_cfg = (dataclasses.replace(train_cfg, steps=args.pretrain_steps)
+                  if set(variants) - {"no_pretrain"} else None)
         ft_cfg = dataclasses.replace(train_cfg, steps=args.finetune_steps)
     except ValueError as e:
         raise ConfigError(f"pretrain_steps and finetune_steps: {e}") from None
@@ -309,7 +308,7 @@ def cmd_ablate(args) -> int:
     outcomes = {v: ({"status": f"failed: {failures[v]}"}, None) if v in failures
                 else f.result() for v, f in futures.items()}
     results = {v: outcomes[v][0] for v in variants}
-    histories = {v: outcomes[v][1] for v in variants}
+    histories = {v: h for v, (_, h) in outcomes.items() if h is not None}
 
     table_lines = [f"{'variant':<14}{'f1':>8}  status"]
     for variant in variants:

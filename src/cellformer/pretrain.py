@@ -56,6 +56,9 @@ class PretrainConfig:
                              "and sum to at most 1")
         if not 0.0 <= self.zero_box_frac <= 1.0:
             raise ValueError("zero_box_frac must be in [0, 1]")
+        if min(self.eval_every, self.heldout_every) < 0 or self.heldout_every == 1:
+            raise ValueError("eval_every and heldout_every must be non-negative; "
+                             "heldout_every=1 would hold out every document")
 
 
 def area_of(box, n_areas: int) -> int:

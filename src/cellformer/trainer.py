@@ -163,8 +163,6 @@ class Pretrainer:
         k = pre_cfg.heldout_every
         self.heldout = [s for i, s in enumerate(encoded) if k and i % k == k - 1]
         self.train_seqs = [s for i, s in enumerate(encoded) if not (k and i % k == k - 1)]
-        if not self.train_seqs:
-            raise ValueError("no training documents after held-out split")
 
         self.sampler = IndexSampler(len(self.train_seqs), train_cfg.seed)
         if resume is None:

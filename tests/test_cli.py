@@ -439,7 +439,31 @@ def test_ablate_zero_steps_is_config_error_before_any_work(pipeline, tmp_path, c
     assert not (tmp_path / "x").exists()
 
 
-def test_ablate_exits_with_the_first_failed_variants_error(pipeline, tmp_path, capsys):
+def test_ablate_without_pretraining_does_not_check_pretrain_steps(pipeline, tmp_path):
+    _, out, _ = pipeline
+    args = command_args(out, "ablate", tmp_path / "x")
+    args[args.index("--pretrain-steps") + 1] = "0"
+    assert main(args) == 0
+
+
+@pytest.mark.parametrize("command", ["pretrain", "ablate"])
+@pytest.mark.parametrize("setting", [
+    ["--eval-every", "-2"], ["--heldout-every", "-3"], ["--heldout-every", "1"],
+], ids=["negative-eval-every", "negative-heldout-every", "every-document-held-out"])
+def test_bad_held_out_setting_is_config_error_before_any_work(
+        pipeline, tmp_path, capsys, command, setting):
+    _, out, _ = pipeline
+    args = command_args(out, command, tmp_path / "x")
+    if command == "ablate":
+        args[args.index("--variants") + 1] = "full"
+    assert main(args + setting) == 1
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("variants", ["no_pretrain", "full,word_level"])
+def test_ablate_exits_with_the_first_failed_variants_error(pipeline, tmp_path, capsys,
+                                                           variants):
     _, out, _ = pipeline
     lines = (out / "form_labels.jsonl").read_text().splitlines()
     rec = json.loads(lines[0])  # the first example is in the training split
@@ -449,10 +473,13 @@ def test_ablate_exits_with_the_first_failed_variants_error(pipeline, tmp_path, c
     labels.write_text("\n".join(lines) + "\n")
     args = command_args(out, "ablate", tmp_path / "ab")
     args[args.index("--form-labels") + 1] = str(labels)
+    args[args.index("--variants") + 1] = variants
     assert main(args) == 2
     assert "labels for" in capsys.readouterr().err
     table = (tmp_path / "ab" / "ablation.txt").read_text().splitlines()
-    assert table[1].startswith("no_pretrain") and "failed: " in table[1]
+    for line, variant in zip(table[1:], variants.split(","), strict=True):
+        assert line.startswith(variant) and "failed: " in line
+    assert not (tmp_path / "ab" / "mvlm_loss_series.tsv").exists()
 
 
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")

@@ -297,6 +297,15 @@ def test_loss_is_the_plain_sum():
     assert loss.item() == metrics["mvlm_loss"] + metrics["cpc_loss"]
 
 
+@pytest.mark.parametrize("bad", [{"eval_every": -2}, {"heldout_every": -3},
+                                 {"heldout_every": 1}])
+def test_config_rejects_negative_intervals_and_holding_out_every_document(bad):
+    with pytest.raises(ValueError):
+        PretrainConfig(**bad)
+    PretrainConfig(eval_every=0, heldout_every=0)
+    PretrainConfig(heldout_every=2)
+
+
 def test_config_fraction_validation():
     with pytest.raises(ValueError):
         PretrainConfig(mask_token_frac=0.95)  # + random_frac 0.1 > 1
