@@ -2,21 +2,60 @@
 
 Every network operation in this package is built from the primitives here.
 Arrays are numpy; the graph is define-by-run. backward() ACCUMULATES into
-``.grad`` (call ``zero_grads`` before each optimizer step).
+the ``.grad`` of leaf tensors only (call ``zero_grads`` before each optimizer
+step); an intermediate's gradient is freed once it has been passed on.
 
 Precision is a process-wide switch: float64 for gradient checking (the
 default), float32 for faster training. Set it once, before building
 parameters, via :func:`set_dtype`.
+
+Importing this module fixes glibc's malloc thresholds (see
+:func:`fix_malloc_thresholds`).
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
+import sys
 from typing import Callable, Optional
 
 import numpy as np
 
 _DTYPE = np.float64
+
+# glibc mallopt parameters (malloc.h) and the values this package fixes:
+# the highest its sliding thresholds reach on 64-bit (mmap 32 MiB, trim
+# twice that)
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+MMAP_THRESHOLD = 32 << 20  # bytes; larger blocks get their own mapping
+TRIM_THRESHOLD = 64 << 20  # bytes of free heap top kept before any is returned
+
+
+def fix_malloc_thresholds(libc=None, platform: str = sys.platform) -> None:
+    """Fix glibc's mmap and trim thresholds instead of letting them slide.
+
+    Left to itself, glibc moves both thresholds as memory is freed and hands
+    free heap back to the kernel whenever it exceeds the trim threshold, so
+    an op's temporaries go back after the op and the next op faults them in
+    again (about 2,700 minor faults in each batch of 16 tagged documents).
+    With fixed thresholds, freed arrays stay in the heap and are reused.
+    Elsewhere than Linux, or where the C library has no `mallopt` (not
+    glibc), this does nothing."""
+    if platform != "linux":
+        return
+    try:
+        mallopt = (ctypes.CDLL(None) if libc is None else libc).mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, MMAP_THRESHOLD)
+    mallopt(_M_TRIM_THRESHOLD, TRIM_THRESHOLD)
+
+
+fix_malloc_thresholds()
 
 
 class ShapeError(ValueError):
@@ -48,12 +87,13 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 class Tensor:
     """N-d array plus the bookkeeping needed for reverse-mode autodiff.
 
-    `grad` is populated by :func:`backward` for every tensor with
-    ``requires_grad`` reachable from the loss; repeated backward calls
-    without :func:`zero_grads` add up.
+    `grad` is populated by :func:`backward` for every leaf tensor (one no
+    op produced) with ``requires_grad`` reachable from the loss; repeated
+    backward calls without :func:`zero_grads` add up.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward")
+    # __weakref__ lets a caller watch when a graph is freed
+    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False, _parents=(), _backward=None):
         arr = np.asarray(data)
@@ -119,7 +159,10 @@ class Tensor:
         out = self.data + other.data
 
         def back(g):
-            return _unbroadcast(g, self.shape), _unbroadcast(g, other.shape)
+            # a constant operand (e.g. the attention mask bias) gets no
+            # gradient, so its broadcast is not reduced
+            return (_unbroadcast(g, self.shape) if self.requires_grad else None,
+                    _unbroadcast(g, other.shape) if other.requires_grad else None)
 
         return Tensor._result(out, (self, other), back)
 
@@ -374,10 +417,11 @@ def dropout(x: Tensor, p: float, rng: Optional[np.random.Generator] = None) -> T
 
 
 def backward(loss: Tensor) -> None:
-    """Populate `.grad` on every requires_grad tensor reachable from `loss`.
+    """Populate `.grad` on every requires_grad leaf reachable from `loss`.
 
     Accumulates: each call adds the full dLoss/dTensor on top of whatever is
-    already in `.grad`.
+    already in `.grad`. Intermediate tensors keep no `.grad`: each one's
+    gradient is dropped as soon as it has been passed to its parents.
     """
     if loss.size != 1:
         raise ValueError(f"backward needs a scalar loss, got shape {loss.shape}")
@@ -407,13 +451,10 @@ def backward(loss: Tensor) -> None:
         g = grads.pop(id(node), None)
         if g is None:
             continue
-        # g is exclusively ours after the pop; accumulations below build new
-        # arrays, so aliasing it into .grad is safe
-        if node.grad is None:
-            node.grad = g
-        else:
-            node.grad = node.grad + g
         if node._backward is None:
+            # a leaf. g is exclusively ours after the pop; accumulations
+            # build new arrays, so aliasing it into .grad is safe
+            node.grad = g if node.grad is None else node.grad + g
             continue
         parent_grads = node._backward(g)
         for parent, pg in zip(node._parents, parent_grads):

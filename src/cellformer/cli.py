@@ -56,6 +56,11 @@ class _Parser(argparse.ArgumentParser):
 
 
 _FROM_VOCAB = {"vocab_size": "derived from the vocabulary file"}
+# set by ablate itself, so its resolved configuration leaves them out
+_PER_VARIANT = {
+    "layout_mode": "chosen per ablation variant",
+    "steps": "use pretrain_steps / finetune_steps for ablation",
+}
 
 # The config classes each command reads, and the fields among them that the
 # command fixes itself, with the reason: a fixed field gets no flag, and a
@@ -64,11 +69,7 @@ SETTINGS = {
     "gen-corpus": ((SynthConfig,), {}),
     "pretrain": ((ModelConfig, TrainConfig, PretrainConfig), _FROM_VOCAB),
     "finetune": ((ModelConfig, TrainConfig), _FROM_VOCAB),
-    "ablate": ((ModelConfig, TrainConfig, PretrainConfig), {
-        **_FROM_VOCAB,
-        "layout_mode": "chosen per ablation variant",
-        "steps": "use pretrain_steps / finetune_steps for ablation",
-    }),
+    "ablate": ((ModelConfig, TrainConfig, PretrainConfig), {**_FROM_VOCAB, **_PER_VARIANT}),
 }
 
 
@@ -102,9 +103,9 @@ def _resolve(instances, args, fixed=None):
     return apply_settings(instances, flags, "command line", fixed)
 
 
-def _print_config(sections: dict) -> None:
+def _print_config(sections: dict, omit=()) -> None:
     print("resolved configuration:")
-    for line in config_lines(sections):
+    for line in config_lines(sections, omit):
         print("  " + line)
 
 
@@ -273,17 +274,23 @@ def cmd_ablate(args) -> int:
     model_cfg, train_cfg, pre_cfg = _resolve(
         [ModelConfig(vocab_size=len(vocab)), TrainConfig(), PretrainConfig()], args
     )
-    try:  # pretrain_steps only matters to a variant that pre-trains
+    # pretrain_steps and the objectives only matter to a variant that pre-trains
+    pretrains = bool(set(variants) - {"no_pretrain"})
+    try:
         pt_cfg = (dataclasses.replace(train_cfg, steps=args.pretrain_steps)
-                  if set(variants) - {"no_pretrain"} else None)
+                  if pretrains else None)
         ft_cfg = dataclasses.replace(train_cfg, steps=args.finetune_steps)
     except ValueError as e:
         raise ConfigError(f"pretrain_steps and finetune_steps: {e}") from None
     docs = read_cell_jsonl(args.corpus)
     examples = read_tagging_examples(args.form_docs, args.form_labels)
     train_set, eval_set = split_train_eval(examples)
-    _print_config({"model": model_cfg, "train": train_cfg, "objectives": pre_cfg})
-    print(f"variants={','.join(variants)} pretrain_steps={args.pretrain_steps} "
+    sections = {"model": model_cfg, "train": train_cfg}
+    if pretrains:
+        sections["objectives"] = pre_cfg
+    _print_config(sections, omit=_PER_VARIANT)
+    pretrain_steps = f"pretrain_steps={args.pretrain_steps} " if pretrains else ""
+    print(f"variants={','.join(variants)} {pretrain_steps}"
           f"finetune_steps={args.finetune_steps}")
 
     out = Path(args.out)

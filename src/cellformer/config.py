@@ -101,14 +101,16 @@ def apply_settings(instances: list, settings: dict[str, str], source: str,
     return out
 
 
-def config_lines(sections: dict[str, object]) -> list[str]:
+def config_lines(sections: dict[str, object], omit=()) -> list[str]:
     """Deterministic key=value echo of resolved configs, one section per
-    dataclass."""
+    dataclass, leaving out the fields named in `omit`."""
     lines = []
     for title in sections:
         inst = sections[title]
         lines.append(f"[{title}]")
         for f in sorted(dataclasses.fields(inst), key=lambda f: f.name):
+            if f.name in omit:
+                continue
             value = getattr(inst, f.name)
             if isinstance(value, (tuple, list)):
                 value = ",".join(str(v) for v in value)

@@ -374,10 +374,12 @@ def finetune(
                          rng=derive_rng(train_cfg.seed, "dropout", task, step))
         zero_grads(params)
         backward(loss)
+        value = loss.item()
+        del loss  # the spent graph goes before the next step builds its own
         adam_step(params, adam, lr_at(step, train_cfg))
         if metrics_log is not None:
             metrics_log.write({"step": step, "lr": lr_at(step, train_cfg),
-                               "loss": loss.item()})
+                               "loss": value})
 
     report = evaluate(task, params, eval_examples, vocab, model_cfg, train_cfg)
     return params, report

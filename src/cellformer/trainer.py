@@ -239,6 +239,7 @@ class Pretrainer:
             )
             zero_grads(self.params)
             backward(loss)
+            del loss  # the spent graph goes before the next step builds its own
             adam_step(self.params, self.adam, lr)
 
             record = {"step": step, "lr": lr, "mvlm_loss": metrics["mvlm_loss"]}

@@ -300,6 +300,36 @@ def test_backward_accumulates_across_calls(weighted_sum):
     assert np.allclose(x.grad, 2 * first)
 
 
+def test_backward_keeps_gradients_on_leaves_only(weighted_sum):
+    rng = np.random.default_rng(12)
+    x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+    w = Tensor(rng.normal(size=(4, 2)), requires_grad=True)
+    hidden = ag.gelu(ag.matmul(x, w))
+    loss = weighted_sum(hidden, rng.normal(size=(3, 2)))
+    backward(loss)
+    assert hidden.grad is None and loss.grad is None
+    assert x.grad.shape == x.shape and w.grad.shape == w.shape
+    assert np.abs(x.grad).sum() > 0 and np.abs(w.grad).sum() > 0
+
+
+def test_add_reduces_no_gradient_for_a_constant_operand(weighted_sum, monkeypatch):
+    rng = np.random.default_rng(13)
+    scores = Tensor(rng.normal(size=(2, 3, 4, 4)), requires_grad=True)
+    bias = Tensor(rng.normal(size=(2, 1, 1, 4)))  # e.g. an attention mask bias
+    reduced = []
+    real = ag._unbroadcast
+
+    def spy(grad, shape):
+        reduced.append(shape)
+        return real(grad, shape)
+
+    monkeypatch.setattr(ag, "_unbroadcast", spy)
+    w = rng.normal(size=(2, 3, 4, 4))
+    backward(weighted_sum(scores + bias, w))
+    assert bias.shape not in reduced and bias.grad is None
+    assert np.array_equal(scores.grad, w)
+
+
 def test_backward_rejects_non_scalar():
     x = Tensor(np.ones(3), requires_grad=True)
     with pytest.raises(ValueError, match="scalar"):
@@ -462,3 +492,40 @@ def test_grad_check_probes_leave_flags_and_weights_as_they_were_even_when_raisin
 
     finite_difference_errors(lambda p: weighted_sum(p["w"], p["w"]), params)
     assert w.requires_grad and not const.requires_grad
+
+
+# -- allocator policy --------------------------------------------------------------
+
+
+class StandInLibc:
+    """Records the `mallopt` calls a C library would receive."""
+
+    def __init__(self):
+        self.calls = []
+
+        def mallopt(param, value):
+            self.calls.append((param, value))
+            return 1
+
+        self.mallopt = mallopt
+
+
+def test_malloc_thresholds_are_fixed_by_two_mallopt_calls():
+    libc = StandInLibc()
+    ag.fix_malloc_thresholds(libc, platform="linux")
+    # parameter numbers from glibc's malloc.h
+    assert libc.calls == [(-3, ag.MMAP_THRESHOLD), (-1, ag.TRIM_THRESHOLD)]
+
+
+def test_malloc_thresholds_need_linux_and_mallopt(monkeypatch):
+    libc = StandInLibc()
+    for platform in ("darwin", "win32"):
+        ag.fix_malloc_thresholds(libc, platform=platform)
+    assert libc.calls == []
+    ag.fix_malloc_thresholds(object(), platform="linux")  # a C library without mallopt
+
+    def no_library(name):
+        raise OSError("no C library")
+
+    monkeypatch.setattr(ag.ctypes, "CDLL", no_library)
+    ag.fix_malloc_thresholds(platform="linux")

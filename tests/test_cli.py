@@ -446,6 +446,23 @@ def test_ablate_without_pretraining_does_not_check_pretrain_steps(pipeline, tmp_
     assert main(args) == 0
 
 
+@pytest.mark.parametrize("variants", ["no_pretrain", "full"])
+def test_ablate_prints_only_the_settings_it_uses(pipeline, tmp_path, capsys, variants):
+    _, out, _ = pipeline
+    args = command_args(out, "ablate", tmp_path / "x")
+    args[args.index("--variants") + 1] = variants
+    assert main(args) == 0
+    text = capsys.readouterr().out
+    shown = {line.split("=")[0].strip() for line in text.splitlines()
+             if line.startswith("  ") and "=" in line}
+    # each variant sets its own layout and step count
+    assert "steps" not in shown and "layout_mode" not in shown
+    assert {"lr", "hidden_d"} <= shown and "finetune_steps=2" in text.split()
+    pretrains = variants != "no_pretrain"
+    assert ("mask_rate" in shown) == pretrains
+    assert ("pretrain_steps=2" in text.split()) == pretrains
+
+
 @pytest.mark.parametrize("command", ["pretrain", "ablate"])
 @pytest.mark.parametrize("setting", [
     ["--eval-every", "-2"], ["--heldout-every", "-3"], ["--heldout-every", "1"],

@@ -2,6 +2,8 @@
 checks of the fine-tuning driver."""
 
 import dataclasses
+import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -236,6 +238,29 @@ def test_finetune_with_dropout_is_seeded(task, vocab, model_cfg):
     assert report_a == report_b
     assert all(np.array_equal(a[k].data, b[k].data) for k in a)
     assert any(not np.array_equal(a[k].data, plain[k].data) for k in a)
+
+
+@pytest.mark.parametrize("task", TASKS)
+def test_finetune_drops_each_steps_graph_before_the_next_forward(
+        task, vocab, model_cfg, monkeypatch):
+    train, eval_ = split_train_eval(TASK_DATA[task](SYNTH, 10))
+    losses = []
+    real = TASKS[task].loss
+
+    def spy(*args, **kwargs):
+        assert all(ref() is None for ref in losses), "a spent graph is still alive"
+        loss = real(*args, **kwargs)
+        losses.append(weakref.ref(loss))
+        return loss
+
+    monkeypatch.setitem(TASKS, task, TASKS[task]._replace(loss=spy))
+    gc.disable()  # freed by reference counting alone, not by a later collection
+    try:
+        finetune(task, train, eval_, vocab, model_cfg,
+                 TrainConfig(steps=3, batch_size=2, seed=3))
+    finally:
+        gc.enable()
+    assert len(losses) == 3 and all(ref() is None for ref in losses)
 
 
 # -- forward-only paths build no autograd graph --------------------------------

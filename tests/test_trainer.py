@@ -2,11 +2,14 @@
 determinism, and checkpoint resume."""
 
 import dataclasses
+import gc
+import weakref
 
 import numpy as np
 import pytest
 
 from cellformer import model as M
+from cellformer import trainer as trainer_module
 from cellformer.checkpoint import load_checkpoint, save_checkpoint
 from cellformer.documents import stack_batch
 from cellformer.model import ModelConfig
@@ -195,6 +198,29 @@ def test_heldout_eval_without_graph_matches_graph_forward(graph_free_vs_graph):
     assert set(ev) == {"eval_mvlm_loss", "eval_cpc_acc"}
     assert all(p.grad is None and p.requires_grad
                for p in trainer.params.values())
+
+
+def test_run_drops_each_steps_graph_before_the_next_forward(monkeypatch):
+    docs, vocab, model_cfg = tiny_setup(24)
+    train_cfg = TrainConfig(steps=4, batch_size=4, seed=5)
+    trainer = Pretrainer(docs, vocab, model_cfg, train_cfg,
+                         PretrainConfig(eval_every=2, heldout_every=6))
+    losses = []
+    real = trainer_module.pretrain_batch_loss
+
+    def spy(*args, **kwargs):
+        assert all(ref() is None for ref in losses), "a spent graph is still alive"
+        loss, metrics = real(*args, **kwargs)
+        losses.append(weakref.ref(loss))
+        return loss, metrics
+
+    monkeypatch.setattr(trainer_module, "pretrain_batch_loss", spy)
+    gc.disable()  # freed by reference counting alone, not by a later collection
+    try:
+        trainer.run()
+    finally:
+        gc.enable()
+    assert len(losses) == 4 + 2 and all(ref() is None for ref in losses)
 
 
 def test_resume_leaves_the_checkpoint_unchanged():
