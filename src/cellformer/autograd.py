@@ -213,19 +213,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"matmul needs >=2-d operands, got {a.shape} x {b.shape}")
     if ad.shape[-1] != bd.shape[-2]:
         raise ShapeError(f"matmul: inner dimensions differ: {a.shape} x {b.shape}")
-    if bd.ndim == 2 and ad.ndim > 2:
-        # a stack of rows times one matrix: a single 2-d product, whose
-        # weight gradient needs no per-batch products summed afterwards
-        k, n = bd.shape
-        a2 = ad.reshape(-1, k)
-        out = (a2 @ bd).reshape(ad.shape[:-1] + (n,))
-
-        def back(g):
-            g2 = g.reshape(-1, n)
-            return (g2 @ bd.T).reshape(ad.shape), a2.T @ g2
-
-        return Tensor._result(out, (a, b), back)
-
     out = ad @ bd
 
     def back(g):
@@ -234,6 +221,25 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         return ga, gb
 
     return Tensor._result(out, (a, b), back)
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """`x @ w + b` in one op: rows `x` [..., k], a weight [k, n] and a bias
+    [n]. The product runs as one 2-d matrix product over all rows, and the
+    bias is added to it in place."""
+    xd, wd = x.data, w.data
+    k, n = wd.shape
+    if xd.shape[-1] != k or b.shape != (n,):
+        raise ShapeError(f"linear: {x.shape} x {w.shape} + {b.shape}")
+    x2 = xd.reshape(-1, k)
+    out = x2 @ wd
+    out += b.data
+
+    def back(g):
+        g2 = g.reshape(-1, n)
+        return (g2 @ wd.T).reshape(xd.shape), x2.T @ g2, g2.sum(axis=0)
+
+    return Tensor._result(out.reshape(xd.shape[:-1] + (n,)), (x, w, b), back)
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-12) -> Tensor:
@@ -247,21 +253,26 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-12) -> Te
         raise ShapeError(
             f"layer_norm: gamma/beta must have shape ({d},), got {gamma.shape}/{beta.shape}"
         )
+    # each temporary is updated in place; the arithmetic and its order are
+    # those of the plain formulas, so the bits are too
     mu = x.data.sum(axis=-1, keepdims=True) / d
-    xc = x.data - mu
-    var = (xc * xc).sum(axis=-1, keepdims=True) / d
+    xhat = x.data - mu
+    var = (xhat * xhat).sum(axis=-1, keepdims=True) / d
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = xc * inv
+    xhat *= inv
 
-    out = xhat * gamma.data + beta.data
+    out = xhat * gamma.data
+    out += beta.data
 
     def back(g):
         dgamma = _unbroadcast(g * xhat, gamma.shape)
         dbeta = _unbroadcast(g, beta.shape)
-        dxhat = g * gamma.data
-        m1 = dxhat.sum(axis=-1, keepdims=True) / d
-        m2 = (dxhat * xhat).sum(axis=-1, keepdims=True) / d
-        dx = inv * (dxhat - m1 - xhat * m2)
+        dx = g * gamma.data  # d/dxhat
+        m1 = dx.sum(axis=-1, keepdims=True) / d
+        m2 = (dx * xhat).sum(axis=-1, keepdims=True) / d
+        dx -= m1
+        dx -= xhat * m2
+        dx *= inv
         return dx, dgamma, dbeta
 
     return Tensor._result(out, (x, gamma, beta), back)
@@ -275,15 +286,32 @@ _GELU_C = 0.044715
 def gelu(x: Tensor) -> Tensor:
     """Gaussian-error linear unit, tanh approximation:
     0.5*x*(1 + tanh(sqrt(2/pi)*(x + 0.044715*x^3)))."""
+    # computed in place, in the order of the formula (and of its
+    # derivative), so the bits are those of the plain expressions
     xd = x.data
-    u = _GELU_K * (xd + _GELU_C * (xd * xd * xd))
-    t = np.tanh(u)
-    out = 0.5 * xd * (1.0 + t)
+    t = xd * xd * xd
+    t *= _GELU_C
+    t += xd
+    t *= _GELU_K
+    np.tanh(t, out=t)
+    out = 0.5 * xd
+    out *= 1.0 + t
 
     def back(g):
-        du = _GELU_K * (1.0 + 3.0 * _GELU_C * xd * xd)
-        dx = 0.5 * (1.0 + t) + 0.5 * xd * (1.0 - t * t) * du
-        return (g * dx,)
+        # 0.5*(1 + t) + 0.5*x*(1 - t^2)*du, du = K*(1 + 3C*x^2)
+        du = 3.0 * _GELU_C * xd
+        du *= xd
+        du += 1.0
+        du *= _GELU_K
+        rest = t * t
+        np.subtract(1.0, rest, out=rest)
+        rest *= 0.5 * xd
+        rest *= du
+        dx = 1.0 + t
+        dx *= 0.5
+        dx += rest
+        dx *= g
+        return (dx,)
 
     return Tensor._result(out, (x,), back)
 
@@ -315,27 +343,65 @@ def embedding_gather(table: Tensor, ids) -> Tensor:
     return Tensor._result(out, (table,), back)
 
 
-def zero_pad(x: Tensor, length: int, axis: int) -> Tensor:
-    """`x` extended with zeros along `axis` up to `length` entries."""
-    axis = axis % x.ndim
-    size = x.shape[axis]
-    if length < size:
-        raise ShapeError(f"zero_pad: cannot pad axis of {size} down to {length}")
-    shape = x.shape[:axis] + (length,) + x.shape[axis + 1:]
-    out = np.zeros(shape, dtype=x.data.dtype)
-    keep = (slice(None),) * axis + (slice(0, size),)
-    out[keep] = x.data
-    return Tensor._result(out, (x,), lambda g: (g[keep],))
+# Packed rows: a batch's real tokens as rows [N, d], in row-major order of
+# their [B, L] positions. `index` names those positions as np.nonzero gives
+# them, (batch indices, sequence indices); each appears at most once, so a
+# scatter needs no accumulation.
+
+
+def _scatter(rows: np.ndarray, index, shape: tuple) -> np.ndarray:
+    """A zero array of `shape` holding `rows` at `index`."""
+    out = np.zeros(shape, dtype=rows.dtype)
+    out[index] = rows.reshape((len(rows),) + tuple(shape[len(index):]))
+    return out
+
+
+def scatter_rows(x: Tensor, index, shape: tuple) -> Tensor:
+    """Rows `x` placed at `index` of a zero array of `shape`."""
+    return Tensor._result(_scatter(x.data, index, shape), (x,),
+                          lambda g: (g[index],))
+
+
+def gather_rows(x: Tensor, index) -> Tensor:
+    """The rows of `x` at `index`, distinct positions of its leading axes."""
+    shape = x.shape
+    return Tensor._result(x.data[index], (x,),
+                          lambda g: (_scatter(g, index, shape),))
+
+
+def split_heads(x: Tensor, index, batch: int, seq_len: int, n_heads: int) -> Tensor:
+    """Packed rows [N, d] to attention heads [batch, n_heads, seq_len,
+    d / n_heads], zero at every position `index` does not name."""
+    n, d = x.shape
+    shape = (batch, seq_len, n_heads, d // n_heads)
+    return Tensor._result(
+        _scatter(x.data, index, shape).swapaxes(1, 2), (x,),
+        lambda g: (g.swapaxes(1, 2)[index].reshape(n, d),),
+    )
+
+
+def merge_heads(x: Tensor, index) -> Tensor:
+    """Heads [B, H, L, e] merged back to packed rows [N, H * e] at `index`;
+    the inverse of :func:`split_heads`."""
+    batch, n_heads, seq_len, e = x.shape
+    shape = (batch, seq_len, n_heads, e)
+    return Tensor._result(
+        x.data.swapaxes(1, 2)[index].reshape(-1, n_heads * e), (x,),
+        lambda g: (_scatter(g, index, shape).swapaxes(1, 2),),
+    )
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    m = x.data.max(axis=axis, keepdims=True)
-    e = np.exp(x.data - m)
-    y = e / e.sum(axis=axis, keepdims=True)
+    y = x.data - x.data.max(axis=axis, keepdims=True)
+    np.exp(y, out=y)
+    y /= y.sum(axis=axis, keepdims=True)
 
     def back(g):
-        dot = (g * y).sum(axis=axis, keepdims=True)
-        return ((g - dot) * y,)
+        # (g - sum(g * y)) * y, in place
+        dx = g * y
+        np.subtract(g, dx.sum(axis=axis, keepdims=True), out=dx)
+        dx *= y
+        return (dx,)
 
     return Tensor._result(y, (x,), back)
 

@@ -4,6 +4,12 @@ post-layer-norm transformer stack, and the five output heads.
 2D position embeddings are looked up per coordinate: one table serves x0 and
 x1, another serves y0 and y1, so tokens sharing a cell (cell-level mode)
 share their entire layout contribution.
+
+The encoder works on packed rows: it gathers a batch's real tokens once into
+[N, d] (N real tokens across the batch, in row-major order of their [B, L]
+positions) and runs every position-wise block there. Only attention uses the
+padded [B, H, L, L] layout, and the output is scattered back to [B, L, d]
+with zeros at pad positions (see `encode`).
 """
 
 from __future__ import annotations
@@ -150,18 +156,18 @@ def input_embedding(
     params: dict[str, Tensor],
     config: ModelConfig,
     token_ids: np.ndarray,
+    positions: np.ndarray,
     boxes: np.ndarray,
     rng: Optional[np.random.Generator] = None,
 ) -> Tensor:
     """Word + 1D-position + summed 2D-position embeddings, layer-normed,
     then dropped out with masks from `rng` (no rng: no dropout).
 
-    `token_ids` is [B, L] (or [L]); `boxes` matches with a trailing axis of 4.
+    Takes one entry per token: `token_ids` and their sequence `positions`
+    are [N] (or any matching shape), and `boxes` adds a trailing axis of 4.
     """
-    token_ids = np.asarray(token_ids)
-    seq_len = token_ids.shape[-1]
     words = ag.embedding_gather(params["word_emb"], token_ids)
-    pos = ag.embedding_gather(params["pos1d_emb"], np.arange(seq_len))
+    pos = ag.embedding_gather(params["pos1d_emb"], positions)
     summed = words + pos + layout_contribution(params, boxes)
     out = ag.layer_norm(
         summed, params["emb_ln_g"], params["emb_ln_b"], config.layer_norm_eps
@@ -191,84 +197,80 @@ def encode(
     which draws the dropout masks; without one (evaluation, prediction,
     the gradient check) no dropout is applied.
 
-    Positions after the last one any row attends to are masked keys in
-    every row, and a query only writes its own position, so they cannot
-    change the positions before them: the stack runs on the prefix that
-    ends at that last attended position, and the trailing positions of
-    the output are zeros.
+    The stack runs on the real tokens alone, packed into rows [N, d] in
+    row-major order of their positions: the input embedding, the Q/K/V/O
+    and FFN projections, GELU, both layer norms and the residual adds are
+    position-wise, so a pad position never reaches a real one through
+    them. Only attention scatters the rows into the padded layout
+    [B, H, L', d / H], over the prefix L' that ends at the last position
+    any row attends to. Pad queries, keys and values are zeros there, and
+    pad keys get weight exactly 0, as any masked key does. The output
+    scatters the rows back into [B, L, d], zero at every pad position.
     """
     token_ids = np.atleast_2d(np.asarray(token_ids))
     boxes = np.asarray(boxes).reshape(token_ids.shape + (4,))
     attn_mask = np.atleast_2d(np.asarray(attn_mask, dtype=bool))
 
-    full_len = token_ids.shape[1]
+    batch, full_len = token_ids.shape
     attended = np.flatnonzero(attn_mask.any(axis=0))
-    if len(attended) and attended[-1] + 1 < full_len:
-        run_len = int(attended[-1]) + 1
-        token_ids = token_ids[:, :run_len]
-        boxes = boxes[:, :run_len]
-        attn_mask = attn_mask[:, :run_len]
+    seq_len = int(attended[-1]) + 1 if len(attended) else full_len
+    attn_mask = attn_mask[:, :seq_len]
+    real = np.nonzero(attn_mask)  # (row, position) of each packed token
 
-    batch, seq_len = token_ids.shape
     drop = config.dropout if rng is not None else 0.0
     n_heads = config.num_heads
-    head_d = config.hidden_d // n_heads
-    scale = 1.0 / math.sqrt(head_d)
+    scale = 1.0 / math.sqrt(config.hidden_d // n_heads)
 
-    h = input_embedding(params, config, token_ids, boxes, rng)
+    h = input_embedding(params, config, token_ids[real], real[1], boxes[real], rng)
     bias = _attention_bias(attn_mask, h.data.dtype)
-
-    def split_heads(t: Tensor) -> Tensor:
-        return t.reshape(batch, seq_len, n_heads, head_d).swapaxes(1, 2)
 
     for i in range(config.num_layers):
         pre = f"layer{i}."
-        q = split_heads(ag.matmul(h, params[pre + "q_w"]) + params[pre + "q_b"])
-        k = split_heads(ag.matmul(h, params[pre + "k_w"]) + params[pre + "k_b"])
-        v = split_heads(ag.matmul(h, params[pre + "v_w"]) + params[pre + "v_b"])
-
+        q, k, v = (
+            ag.split_heads(ag.linear(h, params[pre + n + "_w"], params[pre + n + "_b"]),
+                           real, batch, seq_len, n_heads)
+            for n in "qkv"
+        )
         scores = ag.matmul(q, k.swapaxes(2, 3)) * scale + bias
         attn = ag.dropout(ag.softmax(scores, axis=-1), drop, rng)
-        ctx = ag.matmul(attn, v).swapaxes(1, 2).reshape(batch, seq_len, config.hidden_d)
+        ctx = ag.merge_heads(ag.matmul(attn, v), real)
         attn_out = ag.dropout(
-            ag.matmul(ctx, params[pre + "o_w"]) + params[pre + "o_b"], drop, rng,
+            ag.linear(ctx, params[pre + "o_w"], params[pre + "o_b"]), drop, rng,
         )
         h = ag.layer_norm(
             h + attn_out, params[pre + "ln1_g"], params[pre + "ln1_b"],
             config.layer_norm_eps,
         )
 
-        ffn = ag.matmul(
-            ag.gelu(ag.matmul(h, params[pre + "f1_w"]) + params[pre + "f1_b"]),
-            params[pre + "f2_w"],
-        ) + params[pre + "f2_b"]
+        ffn = ag.linear(
+            ag.gelu(ag.linear(h, params[pre + "f1_w"], params[pre + "f1_b"])),
+            params[pre + "f2_w"], params[pre + "f2_b"],
+        )
         h = ag.layer_norm(
             h + ag.dropout(ffn, drop, rng),
             params[pre + "ln2_g"], params[pre + "ln2_b"], config.layer_norm_eps,
         )
-    if seq_len < full_len:
-        h = ag.zero_pad(h, full_len, axis=1)
-    return h
+    return ag.scatter_rows(h, real, (batch, full_len, config.hidden_d))
 
 
 def head_mlm(params: dict[str, Tensor], hidden: Tensor) -> Tensor:
     """Token logits over the vocabulary; projection weight-tied to word_emb."""
-    return ag.matmul(hidden, params["word_emb"].swapaxes(0, 1)) + params["mlm_bias"]
+    return ag.linear(hidden, params["word_emb"].swapaxes(0, 1), params["mlm_bias"])
 
 
 def head_cpc(params: dict[str, Tensor], hidden: Tensor) -> Tensor:
-    return ag.matmul(hidden, params["cpc_w"]) + params["cpc_b"]
+    return ag.linear(hidden, params["cpc_w"], params["cpc_b"])
 
 
 def head_tag(params: dict[str, Tensor], hidden: Tensor) -> Tensor:
-    return ag.matmul(hidden, params["tag_w"]) + params["tag_b"]
+    return ag.linear(hidden, params["tag_w"], params["tag_b"])
 
 
 def head_span(params: dict[str, Tensor], hidden: Tensor) -> Tensor:
     """Start/end logits, last axis of size 2."""
-    return ag.matmul(hidden, params["span_w"]) + params["span_b"]
+    return ag.linear(hidden, params["span_w"], params["span_b"])
 
 
 def head_cls(params: dict[str, Tensor], hidden: Tensor) -> Tensor:
     """Document logits read from the [CLS] position only."""
-    return ag.matmul(hidden[:, 0, :], params["cls_w"]) + params["cls_b"]
+    return ag.linear(hidden[:, 0, :], params["cls_w"], params["cls_b"])

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autograd import Tensor, embedding_gather, softmax_cross_entropy
+from .autograd import Tensor, gather_rows, softmax_cross_entropy
 from .documents import COORD_MAX, TokenizedSequence
 from .vocab import RESERVED, MASK_ID
 
@@ -194,12 +194,11 @@ def make_pretrain_example(
 
 def labeled_rows(hidden: Tensor, labels: np.ndarray) -> tuple[Tensor, np.ndarray]:
     """Hidden states [B, L, d] and labels [B, L] cut down to the labeled
-    positions, flattened to [n, d] and [n]. Unlabeled positions add nothing
-    to a cross-entropy, so a head need not run on them."""
-    labels = np.asarray(labels).reshape(-1)
-    rows = np.flatnonzero(labels != IGNORE_LABEL)
-    flat = hidden.reshape(-1, hidden.shape[-1])
-    return embedding_gather(flat, rows), labels[rows]
+    positions, in row-major order: [n, d] and [n]. Unlabeled positions add
+    nothing to a cross-entropy, so a head need not run on them."""
+    labels = np.asarray(labels)
+    index = np.nonzero(labels != IGNORE_LABEL)
+    return gather_rows(hidden, index), labels[index]
 
 
 def pretrain_loss(

@@ -108,12 +108,12 @@ def pretrain_batch_loss(
     """Joint MVLM (+ CPC) loss and its metrics over a batch of corrupted
     examples; `rng` draws the dropout masks of a training forward."""
     hidden = M.encode(params, model_cfg, *stack_batch(examples), rng=rng)
-    # the vocabulary projection runs on the masked positions alone
+    # each head runs on the rows that carry its labels alone
     masked, mvlm_labels = labeled_rows(hidden, np.stack([e.mvlm_labels for e in examples]))
     mlm_logits = M.head_mlm(params, masked)
     if use_cpc:
-        cpc_logits = M.head_cpc(params, hidden)
-        cpc_labels = np.stack([e.cpc_labels for e in examples])
+        cells, cpc_labels = labeled_rows(hidden, np.stack([e.cpc_labels for e in examples]))
+        cpc_logits = M.head_cpc(params, cells)
     else:
         cpc_logits, cpc_labels = None, None
     return pretrain_loss(mlm_logits, cpc_logits, mvlm_labels, cpc_labels)

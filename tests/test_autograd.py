@@ -206,26 +206,94 @@ def test_embedding_gather_grad_over_unsorted_repeats_matches_fd(weighted_sum):
     assert_grad_close(table.grad, fd_grad(loss, table))
 
 
-# -- zero padding ------------------------------------------------------------------
+# -- linear and packed rows ------------------------------------------------------
 
 
-def test_zero_pad_appends_zeros_and_slices_the_grad(weighted_sum):
+def test_linear_is_matmul_plus_bias_and_grad_matches_fd(weighted_sum):
     rng = np.random.default_rng(9)
     x = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
-    w = rng.normal(size=(2, 5, 4))
-    out = ag.zero_pad(x, 5, axis=1)
-    assert out.shape == (2, 5, 4)
-    assert np.array_equal(out.data[:, :3], x.data)
-    assert np.all(out.data[:, 3:] == 0.0)
+    w = Tensor(rng.normal(size=(4, 5)), requires_grad=True)
+    b = Tensor(rng.normal(size=5), requires_grad=True)
+    weights = rng.normal(size=(2, 3, 5))
+    out = ag.linear(x, w, b)
+    assert out.shape == (2, 3, 5)
+    assert np.allclose(out.data, x.data @ w.data + b.data, rtol=1e-12, atol=1e-12)
 
     def loss():
-        return weighted_sum(ag.zero_pad(x, 5, axis=1), w)
+        return weighted_sum(ag.linear(x, w, b), weights)
+
+    zero_grads([x, w, b])
+    backward(loss())
+    for t in (x, w, b):
+        assert_grad_close(t.grad, fd_grad(loss, t))
+    with pytest.raises(ShapeError):
+        ag.linear(x, w, Tensor(np.zeros(4)))
+
+
+# a batch of two rows of four positions; rows 0 and 1 hold 3 and 2 tokens,
+# with a pad between the two tokens of row 1
+PACKED = (np.array([0, 0, 0, 1, 1]), np.array([0, 1, 2, 0, 3]))
+
+
+def test_scatter_and_gather_rows_place_packed_rows_and_grads_match_fd(weighted_sum):
+    rng = np.random.default_rng(12)
+    x = Tensor(rng.normal(size=(5, 3)), requires_grad=True)
+    out = ag.scatter_rows(x, PACKED, (2, 4, 3))
+    assert np.array_equal(out.data[PACKED], x.data)
+    assert np.all(out.data[0, 3] == 0.0) and np.all(out.data[1, 1:3] == 0.0)
+    assert np.array_equal(ag.gather_rows(out, PACKED).data, x.data)
+
+    full = Tensor(rng.normal(size=(2, 4, 3)), requires_grad=True)
+    w_out = rng.normal(size=(2, 4, 3))
+    w_rows = rng.normal(size=(5, 3))
+
+    def loss():
+        return (weighted_sum(ag.scatter_rows(x, PACKED, (2, 4, 3)), w_out)
+                + weighted_sum(ag.gather_rows(full, PACKED), w_rows))
+
+    zero_grads([x, full])
+    backward(loss())
+    assert np.array_equal(x.grad, w_out[PACKED])
+    assert np.all(full.grad[0, 3] == 0.0) and np.all(full.grad[1, 1:3] == 0.0)
+    assert_grad_close(x.grad, fd_grad(loss, x))
+    assert_grad_close(full.grad, fd_grad(loss, full))
+
+
+def test_split_heads_matches_scatter_reshape_swapaxes_and_grad_matches_fd(weighted_sum):
+    rng = np.random.default_rng(13)
+    x = Tensor(rng.normal(size=(5, 6)), requires_grad=True)
+    out = ag.split_heads(x, PACKED, 2, 4, 3)
+    assert out.shape == (2, 3, 4, 2)
+    reference = ag.scatter_rows(x, PACKED, (2, 4, 6)).data.reshape(2, 4, 3, 2)
+    assert np.array_equal(out.data, reference.swapaxes(1, 2))
+    w = rng.normal(size=(2, 3, 4, 2))
+
+    def loss():
+        return weighted_sum(ag.split_heads(x, PACKED, 2, 4, 3), w)
 
     zero_grads([x])
     backward(loss())
-    assert np.array_equal(x.grad, w[:, :3])
-    with pytest.raises(ShapeError):
-        ag.zero_pad(x, 2, axis=1)
+    assert_grad_close(x.grad, fd_grad(loss, x))
+
+
+def test_merge_heads_inverts_split_heads_and_grad_matches_fd(weighted_sum):
+    rng = np.random.default_rng(14)
+    x = Tensor(rng.normal(size=(2, 3, 4, 2)), requires_grad=True)
+    out = ag.merge_heads(x, PACKED)
+    assert out.shape == (5, 6)
+    assert np.array_equal(out.data, x.data.swapaxes(1, 2)[PACKED].reshape(5, 6))
+    assert np.array_equal(ag.merge_heads(ag.split_heads(out, PACKED, 2, 4, 3), PACKED).data,
+                          out.data)
+    w = rng.normal(size=(5, 6))
+
+    def loss():
+        return weighted_sum(ag.merge_heads(x, PACKED), w)
+
+    zero_grads([x])
+    backward(loss())
+    assert np.all(x.grad.swapaxes(1, 2)[0, 3] == 0.0)
+    assert np.all(x.grad.swapaxes(1, 2)[1, 1:3] == 0.0)
+    assert_grad_close(x.grad, fd_grad(loss, x))
 
 
 # -- softmax cross entropy ----------------------------------------------------------

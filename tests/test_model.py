@@ -82,8 +82,9 @@ def test_zeroed_2d_tables_make_boxes_irrelevant(cfg, params):
     rng = np.random.default_rng(1)
     ids, boxes, _ = rand_inputs(cfg, rng)
     other_boxes = rng.integers(0, 1000, size=boxes.shape)
-    a = M.input_embedding(params, cfg, ids, boxes).data
-    b = M.input_embedding(params, cfg, ids, other_boxes).data
+    positions = np.indices(ids.shape)[1]
+    a = M.input_embedding(params, cfg, ids, positions, boxes).data
+    b = M.input_embedding(params, cfg, ids, positions, other_boxes).data
     assert np.array_equal(a, b)
 
 
@@ -139,8 +140,13 @@ def test_trailing_pad_positions_are_skipped_and_zero(cfg, params):
     assert np.all(out[:, 7:] == 0.0)
     prefix = M.encode(params, cfg, ids[:, :7], boxes[:, :7], attn[:, :7]).data
     assert np.array_equal(out[:, :7], prefix)
-    # a pad inside the attended prefix is still computed like any position
-    assert np.all(np.isfinite(out[1, 5:7])) and np.any(out[1, 5:7] != 0.0)
+    # every pad position's output is zero, inside the attended prefix too,
+    # and each document's real rows are those it gets when encoded alone
+    assert np.all(out[~attn] == 0.0)
+    for row, length in ((0, 7), (1, 5)):
+        alone = M.encode(params, cfg, ids[row:row + 1], boxes[row:row + 1],
+                         attn[row:row + 1]).data
+        assert np.allclose(out[row, :length], alone[0, :length], rtol=1e-10, atol=1e-12)
 
 
 def test_permutation_equivariance_with_zeroed_positions(cfg, params):

@@ -277,6 +277,17 @@ def test_predict_word_tags_without_graph_matches_graph_forward(
     assert all(p.grad is None and p.requires_grad for p in params.values())
 
 
+def test_batched_tagging_gives_each_document_its_tags_alone(vocab, model_cfg):
+    params = prepare_finetune_params(model_cfg, "tagging", None, seed=3)
+    seqs = [encode_document(ex.doc, vocab, model_cfg.max_len)
+            for ex in gen_form_dataset(SYNTH, 6)]
+    assert len({s.length for s in seqs}) > 1
+    batched = predict_word_tags(params, model_cfg, seqs, batch_size=len(seqs))
+    alone = [predict_word_tags(params, model_cfg, [s], batch_size=1)[0] for s in seqs]
+    assert len({tag for tags in alone for tag in tags}) > 1
+    assert batched == alone
+
+
 def test_qa_predict_answer_without_graph_matches_graph_forward(
         vocab, small, graph_free_vs_graph):
     params = prepare_finetune_params(small, "qa", None, seed=3)

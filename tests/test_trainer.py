@@ -12,6 +12,7 @@ from cellformer import model as M
 from cellformer import trainer as trainer_module
 from cellformer.checkpoint import load_checkpoint, save_checkpoint
 from cellformer.documents import stack_batch
+from cellformer.gradcheck import REL_TOL, finite_difference_errors
 from cellformer.model import ModelConfig
 from cellformer.pretrain import PretrainConfig, derive_rng, pretrain_loss
 from cellformer.synth import SynthConfig, gen_pretrain_doc, vocab_words
@@ -91,13 +92,40 @@ def test_masked_row_loss_equals_the_full_vocabulary_projection():
     loss, metrics = pretrain_batch_loss(params, model_cfg, examples, True)
 
     hidden = M.encode(params, model_cfg, *stack_batch(examples))
-    full, _ = pretrain_loss(
+    full, full_metrics = pretrain_loss(
         M.head_mlm(params, hidden), M.head_cpc(params, hidden),
         np.stack([e.mvlm_labels for e in examples]),
         np.stack([e.cpc_labels for e in examples]),
     )
     assert abs(loss.item() - full.item()) <= 1e-12 * abs(full.item())
     assert metrics["mvlm_loss"] > 0
+    # the CPC head runs on the labelled cells' rows alone
+    assert metrics["cpc_labeled"] > 0
+    for key in ("cpc_correct", "cpc_labeled", "cpc_acc"):
+        assert metrics[key] == full_metrics[key]
+
+
+def test_pretrain_loss_gradient_matches_fd_over_in_prefix_padding():
+    docs, _, _ = tiny_setup(6)
+    # a vocabulary of the documents' own words keeps the probes few
+    vocab = build_vocab([w for d in docs for c in d.cells for w in c.text.split()], 256)
+    model_cfg = ModelConfig(vocab_size=len(vocab), num_layers=1, num_heads=2,
+                            hidden_d=4, ffn_d=8, max_len=64)
+    train_cfg = TrainConfig(steps=1, batch_size=3, seed=5, precision="float64")
+    trainer = Pretrainer(docs, vocab, model_cfg, train_cfg,
+                         PretrainConfig(eval_every=0, heldout_every=0))
+    examples = trainer._batch_examples(0)
+    _, _, mask = stack_batch(examples)
+    # the batch holds documents of unequal length, so a shorter one has pad
+    # positions inside the prefix the encoder attends over
+    prefix = mask[:, :np.flatnonzero(mask.any(axis=0))[-1] + 1]
+    assert not prefix.all()
+    _, metrics = pretrain_batch_loss(trainer.params, model_cfg, examples, True)
+    assert metrics["cpc_labeled"] > 0
+
+    errors = finite_difference_errors(
+        lambda p: pretrain_batch_loss(p, model_cfg, examples, True)[0], trainer.params)
+    assert all(err <= REL_TOL for err, _ in errors.values()), errors
 
 
 def test_cpc_off_removes_component_and_head(tmp_path):
