@@ -132,8 +132,9 @@ def mvlm_by_role(ckpt_path, seed, n_docs=200):
                        key=lambda ci: (layout.doc.cells[ci].box[1],
                                        layout.doc.cells[ci].box[0], ci))
         role_of_cell = [layout.roles[ci] for ci in order]
+        # one document: its rows are its positions 0 .. length - 1
         hidden = M.encode(params, mc, *stack_batch([ex]))
-        logits = M.head_mlm(params, hidden).data[0]
+        logits = M.head_mlm(params, hidden).data
         logp = logits - np.log(np.exp(logits - logits.max(-1, keepdims=True))
                                .sum(-1, keepdims=True)) - logits.max(-1, keepdims=True)
         for p in ex.masked_token_positions:

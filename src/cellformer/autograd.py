@@ -187,19 +187,6 @@ class Tensor:
         out = self.data.swapaxes(a, b)
         return Tensor._result(out, (self,), lambda g: (g.swapaxes(a, b),))
 
-    def __getitem__(self, idx):
-        """Basic indexing only (ints and slices); integer-array indices are
-        not supported because their scatter-add would alias."""
-        out = self.data[idx]
-        shape = self.shape
-
-        def back(g):
-            full = np.zeros(shape, dtype=g.dtype)
-            full[idx] += g
-            return (full,)
-
-        return Tensor._result(out, (self,), back)
-
 
 # ---------------------------------------------------------------------------
 # operations

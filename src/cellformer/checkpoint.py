@@ -9,6 +9,7 @@ result reproduces the file byte for byte.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import asdict, dataclass
 from typing import Optional
 
@@ -58,6 +59,9 @@ class Checkpoint:
 
 
 def save_checkpoint(path, ckpt: Checkpoint) -> None:
+    """Write `ckpt` to `path` through a temporary file beside it, which
+    replaces `path` only once it is complete: a save that fails or is
+    interrupted leaves whatever `path` held before."""
     dtype_code = _DTYPE_CODES[ckpt.precision]
 
     manifest = []
@@ -96,12 +100,21 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
     }
     header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
 
-    with open(path, "wb") as fh:
-        fh.write(f"{MAGIC} {VERSION}\n".encode())
-        fh.write(f"{len(header_bytes)}\n".encode())
-        fh.write(header_bytes)
-        for raw in blobs:
-            fh.write(raw)
+    partial = f"{path}.partial"
+    try:
+        with open(partial, "wb") as fh:
+            fh.write(f"{MAGIC} {VERSION}\n".encode())
+            fh.write(f"{len(header_bytes)}\n".encode())
+            fh.write(header_bytes)
+            for raw in blobs:
+                fh.write(raw)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(partial, path)
+    except BaseException:
+        if os.path.exists(partial):
+            os.remove(partial)
+        raise
 
 
 def load_checkpoint(path) -> Checkpoint:

@@ -16,10 +16,6 @@ class ConfigError(Exception):
     pass
 
 
-_BOOLS = {"true": True, "yes": True, "1": True, "on": True,
-          "false": False, "no": False, "0": False, "off": False}
-
-
 def parse_kv_file(path) -> dict[str, str]:
     """key=value lines; blank lines and '#' comments allowed."""
     settings: dict[str, str] = {}
@@ -44,24 +40,15 @@ def parse_kv_file(path) -> dict[str, str]:
 
 
 def _coerce(raw: str, typ, key: str, source: str):
-    origin = typing.get_origin(typ)
-    if origin in (tuple, list):
-        parts = tuple(p.strip() for p in raw.split(",") if p.strip())
-        return parts if origin is tuple else list(parts)
-    if typ is bool:
-        if raw.lower() not in _BOOLS:
-            raise ConfigError(f"{source}: key '{key}': expected a boolean, got {raw!r}")
-        return _BOOLS[raw.lower()]
-    if typ is int:
+    """`raw` as `typ`: an int, a float, a str or a comma-separated tuple[str, ...]."""
+    if typing.get_origin(typ) is tuple:
+        return tuple(p.strip() for p in raw.split(",") if p.strip())
+    if typ in (int, float):
         try:
-            return int(raw)
+            return typ(raw)
         except ValueError:
-            raise ConfigError(f"{source}: key '{key}': expected an integer, got {raw!r}") from None
-    if typ is float:
-        try:
-            return float(raw)
-        except ValueError:
-            raise ConfigError(f"{source}: key '{key}': expected a number, got {raw!r}") from None
+            kind = "an integer" if typ is int else "a number"
+            raise ConfigError(f"{source}: key '{key}': expected {kind}, got {raw!r}") from None
     return raw
 
 
@@ -112,7 +99,7 @@ def config_lines(sections: dict[str, object], omit=()) -> list[str]:
             if f.name in omit:
                 continue
             value = getattr(inst, f.name)
-            if isinstance(value, (tuple, list)):
+            if isinstance(value, tuple):
                 value = ",".join(str(v) for v in value)
             lines.append(f"{f.name}={value}")
     return lines

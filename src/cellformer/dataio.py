@@ -169,6 +169,10 @@ def _tagging_example(doc: RawDocument, record: dict) -> TaggingExample:
     for tag in labels:
         if not isinstance(tag, str) or tag not in TAG_TO_ID:
             raise ValueError(f"unknown tag {tag!r}; expected one of {', '.join(TAG_LABELS)}")
+    n_words = sum(len(c.text.split()) for c in doc.cells)
+    if len(labels) != n_words:
+        raise ValueError(f"{len(labels)} word labels for the {n_words} words of "
+                         f"document '{doc.doc_id}'")
     return TaggingExample(doc=doc, word_labels=labels)
 
 

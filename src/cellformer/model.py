@@ -7,9 +7,9 @@ share their entire layout contribution.
 
 The encoder works on packed rows: it gathers a batch's real tokens once into
 [N, d] (N real tokens across the batch, in row-major order of their [B, L]
-positions) and runs every position-wise block there. Only attention uses the
-padded [B, H, L, L] layout, and the output is scattered back to [B, L, d]
-with zeros at pad positions (see `encode`).
+positions), runs every position-wise block there and returns those rows
+(see `encode`). Only attention uses the padded [B, H, L, L] layout. Every
+head is a plain projection of rows; a loss picks the rows it scores.
 """
 
 from __future__ import annotations
@@ -46,6 +46,17 @@ class ModelConfig:
 
     def __post_init__(self):
         check_layout_mode(self.layout_mode)
+        for name in ("vocab_size", "num_layers", "num_heads", "hidden_d", "ffn_d",
+                     "num_areas", "num_doc_classes"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        if self.max_len < 3:
+            raise ValueError(f"max_len must be at least 3, got {self.max_len}")
+        if not 0.0 <= self.dropout < 1.0:
+            raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
+        if not 0.0 < self.layer_norm_eps < math.inf:
+            raise ValueError(f"layer_norm_eps must be positive and finite, "
+                             f"got {self.layer_norm_eps}")
         if self.hidden_d % self.num_heads != 0:
             raise ValueError(
                 f"hidden_d {self.hidden_d} not divisible by num_heads {self.num_heads}"
@@ -90,18 +101,12 @@ def parameter_shapes(config: ModelConfig, heads=PRETRAIN_HEADS) -> dict[str, tup
         shapes[pre + "ln2_b"] = (d,)
     if "mlm" in heads:
         shapes["mlm_bias"] = (config.vocab_size,)
-    if "cpc" in heads:
-        shapes["cpc_w"] = (d, config.num_areas)
-        shapes["cpc_b"] = (config.num_areas,)
-    if "tag" in heads:
-        shapes["tag_w"] = (d, len(TAG_LABELS))
-        shapes["tag_b"] = (len(TAG_LABELS),)
-    if "span" in heads:
-        shapes["span_w"] = (d, 2)
-        shapes["span_b"] = (2,)
-    if "cls" in heads:
-        shapes["cls_w"] = (d, config.num_doc_classes)
-        shapes["cls_b"] = (config.num_doc_classes,)
+    widths = {"cpc": config.num_areas, "tag": len(TAG_LABELS), "span": 2,
+              "cls": config.num_doc_classes}  # logits per linear head
+    for head, width in widths.items():
+        if head in heads:
+            shapes[head + "_w"] = (d, width)
+            shapes[head + "_b"] = (width,)
     return shapes
 
 
@@ -190,7 +195,9 @@ def encode(
     attn_mask: np.ndarray,
     rng: Optional[np.random.Generator] = None,
 ) -> Tensor:
-    """Full encoder stack over a batch; returns hidden states [B, L, d].
+    """Full encoder stack over a batch; returns the hidden states of its
+    real tokens as packed rows [N, d], N = attn_mask.sum(), in row-major
+    order of attn_mask's True positions.
 
     `attn_mask` is [B, L] boolean, False at [PAD] positions; pad keys are
     excluded from every attention softmax. Training forwards pass `rng`,
@@ -204,8 +211,7 @@ def encode(
     them. Only attention scatters the rows into the padded layout
     [B, H, L', d / H], over the prefix L' that ends at the last position
     any row attends to. Pad queries, keys and values are zeros there, and
-    pad keys get weight exactly 0, as any masked key does. The output
-    scatters the rows back into [B, L, d], zero at every pad position.
+    pad keys get weight exactly 0, as any masked key does.
     """
     token_ids = np.atleast_2d(np.asarray(token_ids))
     boxes = np.asarray(boxes).reshape(token_ids.shape + (4,))
@@ -250,7 +256,7 @@ def encode(
             h + ag.dropout(ffn, drop, rng),
             params[pre + "ln2_g"], params[pre + "ln2_b"], config.layer_norm_eps,
         )
-    return ag.scatter_rows(h, real, (batch, full_len, config.hidden_d))
+    return h
 
 
 def head_mlm(params: dict[str, Tensor], hidden: Tensor) -> Tensor:
@@ -258,19 +264,11 @@ def head_mlm(params: dict[str, Tensor], hidden: Tensor) -> Tensor:
     return ag.linear(hidden, params["word_emb"].swapaxes(0, 1), params["mlm_bias"])
 
 
-def head_cpc(params: dict[str, Tensor], hidden: Tensor) -> Tensor:
-    return ag.linear(hidden, params["cpc_w"], params["cpc_b"])
+def _linear_head(name: str):
+    def head(params: dict[str, Tensor], hidden: Tensor) -> Tensor:
+        return ag.linear(hidden, params[name + "_w"], params[name + "_b"])
+    return head
 
 
-def head_tag(params: dict[str, Tensor], hidden: Tensor) -> Tensor:
-    return ag.linear(hidden, params["tag_w"], params["tag_b"])
-
-
-def head_span(params: dict[str, Tensor], hidden: Tensor) -> Tensor:
-    """Start/end logits, last axis of size 2."""
-    return ag.linear(hidden, params["span_w"], params["span_b"])
-
-
-def head_cls(params: dict[str, Tensor], hidden: Tensor) -> Tensor:
-    """Document logits read from the [CLS] position only."""
-    return ag.linear(hidden[:, 0, :], params["cls_w"], params["cls_b"])
+# per-row logits: cell area, BIES tag, span start/end, document class ([CLS] row)
+head_cpc, head_tag, head_span, head_cls = map(_linear_head, ("cpc", "tag", "span", "cls"))

@@ -192,13 +192,13 @@ def make_pretrain_example(
     )
 
 
-def labeled_rows(hidden: Tensor, labels: np.ndarray) -> tuple[Tensor, np.ndarray]:
-    """Hidden states [B, L, d] and labels [B, L] cut down to the labeled
-    positions, in row-major order: [n, d] and [n]. Unlabeled positions add
-    nothing to a cross-entropy, so a head need not run on them."""
-    labels = np.asarray(labels)
+def labeled_rows(rows: Tensor, labels: np.ndarray) -> tuple[Tensor, np.ndarray]:
+    """Packed rows [N, d] and their labels [N] (a batch's labels at the
+    encoder's real positions, `labels[attn_mask]`) cut down to the labeled
+    rows, in order: [n, d] and [n]. Unlabeled rows add nothing to a
+    cross-entropy, so a head need not run on them."""
     index = np.nonzero(labels != IGNORE_LABEL)
-    return gather_rows(hidden, index), labels[index]
+    return gather_rows(rows, index), labels[index]
 
 
 def pretrain_loss(

@@ -27,7 +27,7 @@ from .documents import (
 from .metrics import TAG_LABELS, TAG_TO_ID, anls, extract_span, word_f1
 from .model import MASK_NEG
 from .optim import adam_step, init_adam
-from .pretrain import IGNORE_LABEL, derive_rng
+from .pretrain import IGNORE_LABEL, derive_rng, labeled_rows
 from .taskdata import QaExample
 from .trainer import PRECISIONS, IndexSampler, TrainConfig, lr_at
 from .vocab import CLS_ID, SEP_ID, PAD_ID, Vocab, detokenize, tokenize_to_ids
@@ -70,11 +70,8 @@ def first_subwords(seq: TokenizedSequence) -> tuple[np.ndarray, np.ndarray]:
 
 
 def tagging_token_labels(seq: TokenizedSequence, word_labels: Sequence[str]) -> np.ndarray:
-    """Tag id at each word's first subword, ignore sentinel elsewhere."""
-    if len(word_labels) != seq.n_words:
-        raise DataError(
-            f"{seq.doc_id}: {len(word_labels)} labels for {seq.n_words} words"
-        )
+    """Tag id at each word's first subword, ignore sentinel elsewhere; the
+    reader has checked that `word_labels` holds one tag per word."""
     labels = np.full(len(seq.token_ids), IGNORE_LABEL, dtype=np.int64)
     positions, words = first_subwords(seq)
     labels[positions] = [TAG_TO_ID[word_labels[w]] for w in words]
@@ -89,22 +86,29 @@ def tagging_items(examples, vocab: Vocab, model_cfg: M.ModelConfig):
 
 
 def tagging_loss(params, model_cfg: M.ModelConfig, items, rng=None) -> Tensor:
-    """Token cross-entropy at each word's first subword."""
-    hidden = M.encode(params, model_cfg, *stack_batch([s for s, _ in items]), rng=rng)
-    targets = np.stack([labels for _, labels in items])
-    return ag.softmax_cross_entropy(M.head_tag(params, hidden), targets, IGNORE_LABEL)
+    """Token cross-entropy at each word's first subword; the head runs on
+    those rows alone."""
+    token_ids, boxes, mask = stack_batch([s for s, _ in items])
+    rows = M.encode(params, model_cfg, token_ids, boxes, mask, rng=rng)
+    tagged, targets = labeled_rows(rows, np.stack([labels for _, labels in items])[mask])
+    return ag.softmax_cross_entropy(M.head_tag(params, tagged), targets)
 
 
 def _head_logits(params, model_cfg: M.ModelConfig, seqs, batch_size: int,
-                 head) -> np.ndarray:
-    """Logits of `head` for every sequence, encoded `batch_size` at a time
+                 head) -> list[np.ndarray]:
+    """Logits of `head` at every real position, one block of rows per
+    sequence (its first `length` positions), encoded `batch_size` at a time
     with a forward that builds no graph."""
     params = ag.detached(params)
-    return np.concatenate([
-        head(params, M.encode(params, model_cfg,
-                              *stack_batch(seqs[lo:lo + batch_size]))).data
-        for lo in range(0, len(seqs), batch_size)
-    ])
+    blocks = []
+    for lo in range(0, len(seqs), batch_size):
+        chunk = seqs[lo:lo + batch_size]
+        logits = head(params, M.encode(params, model_cfg, *stack_batch(chunk))).data
+        start = 0
+        for s in chunk:
+            blocks.append(logits[start:start + s.length])
+            start += s.length
+    return blocks
 
 
 def predict_word_tags(
@@ -114,14 +118,13 @@ def predict_word_tags(
     batch_size: int,
 ) -> list[list[str]]:
     """Per-word predicted tags; words truncated out of the window get O."""
-    pred_ids = np.argmax(
-        _head_logits(params, model_cfg, seqs, batch_size, M.head_tag), axis=-1
-    )
     out = []
-    for s, row in zip(seqs, pred_ids):
+    for s, logits in zip(seqs, _head_logits(params, model_cfg, seqs, batch_size,
+                                            M.head_tag)):
+        positions, words = first_subwords(s)
         tags = ["O"] * s.n_words
-        for pos, w in zip(*first_subwords(s)):
-            tags[w] = TAG_LABELS[row[pos]]
+        for w, tag_id in zip(words.tolist(), np.argmax(logits[positions], axis=-1).tolist()):
+            tags[w] = TAG_LABELS[tag_id]
         out.append(tags)
     return out
 
@@ -241,15 +244,14 @@ def qa_loss(params, model_cfg: M.ModelConfig, items, rng=None) -> Tensor:
     """Mean of the start and end cross-entropies, each softmax taken over
     the window's document positions only."""
     wins = [w for w, _, _ in items]
-    doc_bias = Tensor(np.where(np.stack([w.doc_mask for w in wins]), 0.0, MASK_NEG))
-    hidden = M.encode(params, model_cfg, *stack_batch(wins), rng=rng)
-    span = M.head_span(params, hidden)
-    starts = np.array([s for _, s, _ in items])
-    ends = np.array([e for _, _, e in items])
-    return (
-        ag.softmax_cross_entropy(span[:, :, 0] + doc_bias, starts)
-        + ag.softmax_cross_entropy(span[:, :, 1] + doc_bias, ends)
-    ) * 0.5
+    token_ids, boxes, mask = stack_batch(wins)
+    rows = M.encode(params, model_cfg, token_ids, boxes, mask, rng=rng)
+    # the softmax runs over a window's positions, so the span logits go back
+    # to the padded layout [B, L, 2], read as [B, 2, L]: start and end rows
+    span = ag.scatter_rows(M.head_span(params, rows), np.nonzero(mask), mask.shape + (2,))
+    doc_bias = Tensor(np.where(np.stack([w.doc_mask for w in wins]), 0.0, MASK_NEG)[:, None])
+    targets = np.array([(s, e) for _, s, e in items])
+    return ag.softmax_cross_entropy(span.swapaxes(1, 2) + doc_bias, targets)
 
 
 def qa_predict_answer(
@@ -260,16 +262,14 @@ def qa_predict_answer(
     max_answer_len: int,
 ) -> str:
     """Best-scoring valid span across all windows, detokenized."""
-    params = ag.detached(params)
     best_score = -np.inf
     best_text = ""
-    for win in windows:
-        hidden = M.encode(params, model_cfg, *stack_batch([win]))
-        span_logits = M.head_span(params, hidden).data[0]
+    blocks = _head_logits(params, model_cfg, windows, 1, M.head_span)
+    for win, span_logits in zip(windows, blocks):
         start_logits, end_logits = span_logits[:, 0], span_logits[:, 1]
         try:
             s, e = extract_span(start_logits, end_logits, max_answer_len,
-                                valid=win.doc_mask)
+                                valid=win.doc_mask[:win.length])
         except ValueError:
             continue
         score = float(start_logits[s] + end_logits[e])
@@ -303,17 +303,22 @@ def classification_items(examples, vocab: Vocab, model_cfg: M.ModelConfig):
 
 
 def classification_loss(params, model_cfg: M.ModelConfig, items, rng=None) -> Tensor:
-    """Cross-entropy of the document class read at [CLS]."""
-    hidden = M.encode(params, model_cfg, *stack_batch([s for s, _ in items]), rng=rng)
-    labels = np.array([label for _, label in items], dtype=np.int64)
-    return ag.softmax_cross_entropy(M.head_cls(params, hidden), labels)
+    """Cross-entropy of the document class read at [CLS]; the head runs on
+    the [CLS] rows alone."""
+    token_ids, boxes, mask = stack_batch([s for s, _ in items])
+    rows = M.encode(params, model_cfg, token_ids, boxes, mask, rng=rng)
+    labels = np.full(mask.shape, IGNORE_LABEL)
+    labels[:, 0] = [label for _, label in items]
+    cls_rows, targets = labeled_rows(rows, labels[mask])
+    return ag.softmax_cross_entropy(M.head_cls(params, cls_rows), targets)
 
 
 def classification_score(params, examples, vocab: Vocab, model_cfg: M.ModelConfig,
                          batch_size: int) -> dict:
     """Share of documents whose class is the top logit at [CLS]."""
     seqs = _encode_docs([ex.doc for ex in examples], vocab, model_cfg)
-    logits = _head_logits(params, model_cfg, seqs, batch_size, M.head_cls)
+    blocks = _head_logits(params, model_cfg, seqs, batch_size, M.head_cls)
+    logits = np.stack([b[0] for b in blocks])
     gold = np.array([ex.label for ex in examples])
     correct = int((np.argmax(logits, axis=-1) == gold).sum())
     return {"accuracy": correct / len(examples)}

@@ -107,12 +107,15 @@ def pretrain_batch_loss(
 ) -> tuple[Tensor, dict]:
     """Joint MVLM (+ CPC) loss and its metrics over a batch of corrupted
     examples; `rng` draws the dropout masks of a training forward."""
-    hidden = M.encode(params, model_cfg, *stack_batch(examples), rng=rng)
+    token_ids, boxes, mask = stack_batch(examples)
+    rows = M.encode(params, model_cfg, token_ids, boxes, mask, rng=rng)
     # each head runs on the rows that carry its labels alone
-    masked, mvlm_labels = labeled_rows(hidden, np.stack([e.mvlm_labels for e in examples]))
+    masked, mvlm_labels = labeled_rows(
+        rows, np.stack([e.mvlm_labels for e in examples])[mask])
     mlm_logits = M.head_mlm(params, masked)
     if use_cpc:
-        cells, cpc_labels = labeled_rows(hidden, np.stack([e.cpc_labels for e in examples]))
+        cells, cpc_labels = labeled_rows(
+            rows, np.stack([e.cpc_labels for e in examples])[mask])
         cpc_logits = M.head_cpc(params, cells)
     else:
         cpc_logits, cpc_labels = None, None

@@ -410,9 +410,8 @@ def test_shape_ops_grad_matches_fd(weighted_sum):
     w = rng.normal(size=(4, 6))
 
     def loss():
-        t = x.swapaxes(0, 1).reshape(3, 8)
-        t = t[:, 2:6]
-        return weighted_sum(ag.matmul(t, Tensor(w)) * 0.5, np.ones((3, 6)))
+        t = x.swapaxes(0, 1).reshape(6, 4)
+        return weighted_sum(ag.matmul(t, Tensor(w)) * 0.5, np.ones((6, 6)))
 
     zero_grads([x])
     backward(loss())

@@ -56,6 +56,40 @@ def test_save_load_save_is_byte_identical(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+def test_a_failed_save_leaves_the_previous_checkpoint(tmp_path, monkeypatch):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, make_checkpoint())
+    before = path.read_bytes()
+
+    class FailingWrites:  # a file whose third write fails, as on a full disk
+        def __init__(self, fh):
+            self.fh, self.writes = fh, 0
+
+        def __getattr__(self, name):
+            return getattr(self.fh, name)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, data):
+            self.writes += 1
+            if self.writes == 3:
+                raise OSError("no space left on device")
+            return self.fh.write(data)
+
+    monkeypatch.setattr("builtins.open",
+                        lambda *a, _open=open, **k: FailingWrites(_open(*a, **k)))
+    with pytest.raises(OSError, match="no space"):
+        save_checkpoint(path, make_checkpoint(with_adam=False))
+    monkeypatch.undo()
+    assert path.read_bytes() == before
+    assert load_checkpoint(path).adam is not None
+    assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
+
+
 def test_loaded_fields_round_trip(tmp_path):
     ck = make_checkpoint()
     path = tmp_path / "c.ckpt"

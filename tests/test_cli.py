@@ -2,11 +2,18 @@
 and rejection, exit codes, and the pretrain/finetune surfaces on tiny runs."""
 
 import argparse
+import dataclasses
 import json
+import os
+import subprocess
+import sys
+import typing
+from pathlib import Path
 
 import pytest
 
-from cellformer import trainer
+import cellformer
+from cellformer import cli, trainer
 from cellformer.checkpoint import load_checkpoint
 from cellformer.cli import build_parser, main
 from cellformer.dataio import read_metrics
@@ -428,6 +435,33 @@ def test_each_command_takes_only_the_settings_it_reads(command, count):
     assert len(SETTINGS[command]) == count
 
 
+def test_every_setting_is_an_int_float_str_or_tuple_of_str():
+    # the only types the config coercion reads: any other, a bool say,
+    # would get the raw string, and "false" is truthy
+    coerced = {int, float, str, tuple[str, ...]}
+    for classes, _ in cli.SETTINGS.values():
+        for cls in classes:
+            hints = typing.get_type_hints(cls)
+            for f in dataclasses.fields(cls):
+                assert hints[f.name] in coerced, f"{cls.__name__}.{f.name}"
+
+
+@pytest.mark.parametrize("command,setting", [
+    ("pretrain", ["--num-heads", "0"]),
+    ("pretrain", ["--hidden-d", "0", "--num-heads", "1"]),
+    ("pretrain", ["--dropout", "1.5"]),
+    ("pretrain", ["--num-areas", "0"]),
+    ("pretrain", ["--layer-norm-eps", "0"]),
+    ("finetune", ["--max-len", "2"]),
+], ids=["no-heads", "no-width", "dropout-above-1", "no-areas", "zero-eps", "max-len-2"])
+def test_out_of_range_model_setting_is_config_error_before_any_work(
+        pipeline, tmp_path, capsys, command, setting):
+    _, out, _ = pipeline
+    assert main(command_args(out, command, tmp_path / "x") + setting) == 1
+    assert "config error:" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
 @pytest.mark.parametrize("flag", ["--pretrain-steps", "--finetune-steps"])
 def test_ablate_zero_steps_is_config_error_before_any_work(pipeline, tmp_path, capsys,
                                                           flag):
@@ -479,20 +513,21 @@ def test_bad_held_out_setting_is_config_error_before_any_work(
 
 
 @pytest.mark.parametrize("variants", ["no_pretrain", "full,word_level"])
-def test_ablate_exits_with_the_first_failed_variants_error(pipeline, tmp_path, capsys,
-                                                           variants):
+def test_ablate_exits_with_the_first_failed_variants_error(pipeline, tmp_path, variants):
     _, out, _ = pipeline
-    lines = (out / "form_labels.jsonl").read_text().splitlines()
-    rec = json.loads(lines[0])  # the first example is in the training split
-    rec["word_labels"].pop()
-    lines[0] = json.dumps(rec)
-    labels = tmp_path / "form_labels.jsonl"
-    labels.write_text("\n".join(lines) + "\n")
+    # every input passes the parent's checks; a directory where a variant
+    # writes its first log fails that variant's worker alone
+    for variant in variants.split(","):
+        first = "finetune" if variant == "no_pretrain" else "pretrain"
+        (tmp_path / "ab" / variant / f"{first}_metrics.jsonl").mkdir(parents=True)
     args = command_args(out, "ablate", tmp_path / "ab")
-    args[args.index("--form-labels") + 1] = str(labels)
     args[args.index("--variants") + 1] = variants
-    assert main(args) == 2
-    assert "labels for" in capsys.readouterr().err
+    env = {**os.environ, "PYTHONPATH": str(Path(cellformer.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-m", "cellformer.cli", *args],
+                          capture_output=True, text=True, env=env, timeout=600)
+    # the worker's error has no documented code, so it ends the process
+    assert proc.returncode == 1
+    assert proc.stderr.rstrip().splitlines()[-1].startswith("IsADirectoryError")
     table = (tmp_path / "ab" / "ablation.txt").read_text().splitlines()
     for line, variant in zip(table[1:], variants.split(","), strict=True):
         assert line.startswith(variant) and "failed: " in line

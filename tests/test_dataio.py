@@ -109,6 +109,20 @@ def test_unknown_tag_names_path_and_line(tmp_path):
         read_tagging_examples(*paths)
 
 
+def test_tagging_label_count_mismatch(tmp_path):
+    # one label too many or too few is a data error at its own record
+    ex = gen_form_dataset(CFG, 2)[0]
+    n = len(ex.word_labels)
+    for labels in (ex.word_labels + ["O"], ex.word_labels[:-1]):
+        paths = _write_labels(tmp_path, [ex.doc], [
+            {"doc_id": ex.doc.doc_id, "word_labels": ex.word_labels},
+            {"doc_id": ex.doc.doc_id, "word_labels": labels},
+        ])
+        with pytest.raises(DataError, match=rf"l\.jsonl:2: {len(labels)} word labels "
+                                            rf"for the {n} words of document"):
+            read_tagging_examples(*paths)
+
+
 @pytest.mark.parametrize("change", [
     {"span": [3]}, {"span": "ab"}, {"span": [5, 2]}, {"span": [-1, 2]}, {"answers": "foo"},
 ], ids=["one-word-span", "string-span", "reversed-span", "negative-span", "string-answers"])

@@ -1,5 +1,6 @@
-"""Encoder and head contracts: embedding composition, pad masking,
-permutation equivariance, and parameter accounting."""
+"""Encoder and head contracts: embedding composition, one packed row per
+real token, pad masking, permutation equivariance, and parameter
+accounting."""
 
 import numpy as np
 import pytest
@@ -99,20 +100,22 @@ def test_coordinate_out_of_range_is_contract_error(cfg, params):
 
 def test_encode_output_shape(cfg, params):
     ids, boxes, attn = rand_inputs(cfg, np.random.default_rng(2))
+    attn[0, 7:] = False
+    attn[1, 3] = False  # a pad inside the prefix is no row either
     out = M.encode(params, cfg, ids, boxes, attn)
-    assert out.shape == (2, cfg.max_len, cfg.hidden_d)
+    assert out.shape == (attn.sum(), cfg.hidden_d)
 
 
 def test_changing_pad_id_leaves_non_pad_rows_bit_identical(cfg, params):
     rng = np.random.default_rng(3)
     ids, boxes, attn = rand_inputs(cfg, rng)
-    length = 8
-    attn[:, length:] = False
+    attn[0, 8:] = False
+    attn[1, 5:] = False
     ids2 = ids.copy()
-    ids2[:, length:] = (ids2[:, length:] + 1) % cfg.vocab_size
+    ids2[~attn] = (ids2[~attn] + 1) % cfg.vocab_size
     a = M.encode(params, cfg, ids, boxes, attn).data
     b = M.encode(params, cfg, ids2, boxes, attn).data
-    assert np.array_equal(a[:, :length], b[:, :length])
+    assert np.array_equal(a, b)
 
 
 def test_appending_pads_keeps_non_pad_logits(cfg, params):
@@ -124,29 +127,25 @@ def test_appending_pads_keeps_non_pad_logits(cfg, params):
     big_boxes[:, :8] = boxes
     big_attn = np.zeros((1, cfg.max_len), dtype=bool)
     big_attn[:, :8] = True
-    short = M.head_mlm(params, M.encode(params, cfg, ids, boxes, attn)).data
-    long = M.head_mlm(params, M.encode(params, cfg, big_ids, big_boxes, big_attn)).data
-    assert np.allclose(short[0], long[0, :8], rtol=1e-10, atol=1e-12)
-    assert np.array_equal(np.argmax(short[0], -1), np.argmax(long[0, :8], -1))
+    short = M.encode(params, cfg, ids, boxes, attn).data
+    long = M.encode(params, cfg, big_ids, big_boxes, big_attn).data
+    assert short.shape == (8, cfg.hidden_d)
+    assert np.array_equal(short, long)
 
 
-def test_trailing_pad_positions_are_skipped_and_zero(cfg, params):
+def test_each_documents_rows_match_its_encode_alone(cfg, params):
     rng = np.random.default_rng(5)
     ids, boxes, attn = rand_inputs(cfg, rng)
     attn[0, 7:] = False
     attn[1, 5:] = False
     out = M.encode(params, cfg, ids, boxes, attn).data
-    assert out.shape == (2, cfg.max_len, cfg.hidden_d)
-    assert np.all(out[:, 7:] == 0.0)
-    prefix = M.encode(params, cfg, ids[:, :7], boxes[:, :7], attn[:, :7]).data
-    assert np.array_equal(out[:, :7], prefix)
-    # every pad position's output is zero, inside the attended prefix too,
-    # and each document's real rows are those it gets when encoded alone
-    assert np.all(out[~attn] == 0.0)
-    for row, length in ((0, 7), (1, 5)):
+    # row-major order of the real positions: document 0's 7, then 1's 5
+    blocks = np.split(out, [7])
+    for row, block in enumerate(blocks):
         alone = M.encode(params, cfg, ids[row:row + 1], boxes[row:row + 1],
                          attn[row:row + 1]).data
-        assert np.allclose(out[row, :length], alone[0, :length], rtol=1e-10, atol=1e-12)
+        assert block.shape == alone.shape
+        assert np.allclose(block, alone, rtol=1e-10, atol=1e-12)
 
 
 def test_permutation_equivariance_with_zeroed_positions(cfg, params):
@@ -158,25 +157,14 @@ def test_permutation_equivariance_with_zeroed_positions(cfg, params):
     perm = rng.permutation(cfg.max_len)
     out = M.encode(params, cfg, ids, boxes, attn).data
     out_perm = M.encode(params, cfg, ids[:, perm], boxes[:, perm], attn).data
-    assert np.allclose(out[:, perm], out_perm, rtol=1e-9, atol=1e-11)
+    assert np.allclose(out[perm], out_perm, rtol=1e-9, atol=1e-11)
 
 
 # -- heads -----------------------------------------------------------------------
 
 
-def test_head_cls_reads_only_first_row(cfg, params):
-    rng = np.random.default_rng(6)
-    hidden = Tensor(rng.normal(size=(2, cfg.max_len, cfg.hidden_d)))
-    shuffled = hidden.data.copy()
-    shuffled[:, 1:] = shuffled[:, rng.permutation(cfg.max_len - 1) + 1]
-    a = M.head_cls(params, hidden).data
-    b = M.head_cls(params, Tensor(shuffled)).data
-    assert np.array_equal(a, b)
-    assert a.shape == (2, cfg.num_doc_classes)
-
-
 def test_all_zero_hidden_gives_bias(cfg, params):
-    hidden = Tensor(np.zeros((1, cfg.max_len, cfg.hidden_d)))
+    hidden = Tensor(np.zeros((5, cfg.hidden_d)))
     assert np.allclose(M.head_cpc(params, hidden).data, params["cpc_b"].data)
     assert np.allclose(M.head_tag(params, hidden).data, params["tag_b"].data)
     assert np.allclose(M.head_cls(params, hidden).data, params["cls_b"].data)
@@ -184,11 +172,9 @@ def test_all_zero_hidden_gives_bias(cfg, params):
 
 
 def test_head_span_shapes(cfg, params):
-    hidden = Tensor(np.zeros((2, cfg.max_len, cfg.hidden_d)))
+    hidden = Tensor(np.zeros((5, cfg.hidden_d)))
     out = M.head_span(params, hidden)
-    assert out.shape == (2, cfg.max_len, 2)
-    start, end = out.data[..., 0], out.data[..., 1]
-    assert start.shape == end.shape == (2, cfg.max_len)
+    assert out.shape == (5, 2)
 
 
 # -- parameter accounting -----------------------------------------------------------

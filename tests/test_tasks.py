@@ -8,17 +8,21 @@ import weakref
 import numpy as np
 import pytest
 
+from cellformer import autograd as ag
+from cellformer import model as M
+from cellformer.autograd import Tensor
 from cellformer.checkpoint import load_checkpoint, save_checkpoint
 from cellformer.dataio import DataError
-from cellformer.documents import encode_document
-from cellformer.model import ModelConfig
+from cellformer.documents import encode_document, stack_batch
+from cellformer.model import MASK_NEG, ModelConfig
 from cellformer.pretrain import IGNORE_LABEL, PretrainConfig
 from cellformer.metrics import TAG_TO_ID
 from cellformer.synth import SynthConfig, gen_cls_dataset, gen_form_dataset, gen_qa_dataset, vocab_words
 from cellformer.taskdata import split_train_eval
 from cellformer.tasks import (
-    TASKS, evaluate, finetune, predict_word_tags, prepare_finetune_params,
-    qa_predict_answer, qa_token_span, qa_training_window, qa_windows,
+    TASKS, _head_logits, classification_items, classification_loss, evaluate, finetune,
+    predict_word_tags, prepare_finetune_params, qa_items, qa_loss, qa_predict_answer,
+    qa_token_span, qa_training_window, qa_windows, tagging_items, tagging_loss,
     tagging_token_labels,
 )
 from cellformer.trainer import Pretrainer, TrainConfig
@@ -69,11 +73,72 @@ def test_tagging_labels_only_on_first_subwords(vocab, model_cfg):
             assert lab == IGNORE_LABEL
 
 
-def test_tagging_label_count_mismatch(vocab, model_cfg):
-    ex = gen_form_dataset(SYNTH, 2)[0]
-    seq = encode_document(ex.doc, vocab, model_cfg.max_len)
-    with pytest.raises(DataError, match="labels"):
-        tagging_token_labels(seq, ex.word_labels + ["O"])
+# -- losses on the encoder's packed rows ---------------------------------------
+
+
+def _padded(params, model_cfg, seqs):
+    """The encoder's rows scattered back to [B, L, d], zero at pad."""
+    token_ids, boxes, mask = stack_batch(seqs)
+    rows = M.encode(params, model_cfg, token_ids, boxes, mask)
+    return ag.scatter_rows(rows, np.nonzero(mask), mask.shape + (model_cfg.hidden_d,))
+
+
+def test_tagging_loss_equals_the_padded_formulation(vocab, model_cfg):
+    ag.set_dtype(np.float64)
+    params = prepare_finetune_params(model_cfg, "tagging", None, seed=3)
+    items = tagging_items(gen_form_dataset(SYNTH, 4), vocab, model_cfg)
+    hidden = _padded(params, model_cfg, [s for s, _ in items])
+    padded = ag.softmax_cross_entropy(M.head_tag(params, hidden),
+                                      np.stack([labels for _, labels in items]))
+    loss = tagging_loss(params, model_cfg, items)
+    assert abs(loss.item() - padded.item()) <= 1e-12 * abs(padded.item())
+
+
+def test_qa_loss_equals_the_padded_formulation(vocab, model_cfg):
+    ag.set_dtype(np.float64)
+    params = prepare_finetune_params(model_cfg, "qa", None, seed=3)
+    items = qa_items(gen_qa_dataset(SYNTH, 4), vocab, model_cfg)
+    hidden = _padded(params, model_cfg, [w for w, _, _ in items])
+    span = M.head_span(params, hidden).data
+    doc_bias = np.where(np.stack([w.doc_mask for w, _, _ in items]), 0.0, MASK_NEG)
+    start, end = (
+        ag.softmax_cross_entropy(Tensor(span[..., k] + doc_bias),
+                                 np.array([it[1 + k] for it in items])).item()
+        for k in (0, 1)
+    )
+    padded = 0.5 * (start + end)
+    loss = qa_loss(params, model_cfg, items)
+    assert abs(loss.item() - padded) <= 1e-12 * abs(padded)
+
+
+def test_classification_logits_read_only_the_cls_row(vocab, model_cfg, monkeypatch):
+    ag.set_dtype(np.float64)
+    params = prepare_finetune_params(model_cfg, "classification", None, seed=3)
+    items = classification_items(gen_cls_dataset(SYNTH, 4), vocab, model_cfg)
+    seqs = [s for s, _ in items]
+
+    def run():
+        logits = [b[0] for b in _head_logits(params, model_cfg, seqs, 4, M.head_cls)]
+        return classification_loss(params, model_cfg, items).item(), np.stack(logits)
+
+    real_encode = M.encode
+
+    def shuffled(*args, **kwargs):
+        # every row but each document's first ([CLS]) goes to another place
+        rows = real_encode(*args, **kwargs).data
+        mask = args[4]
+        cls_rows = np.r_[0, np.cumsum(mask.sum(axis=1))[:-1]]
+        others = np.setdiff1d(np.arange(len(rows)), cls_rows)
+        moved = rows.copy()
+        moved[others] = rows[np.random.default_rng(0).permutation(others)]
+        assert not np.array_equal(moved, rows)
+        return Tensor(moved)
+
+    loss, logits = run()
+    monkeypatch.setattr(M, "encode", shuffled)
+    shuffled_loss, shuffled_logits = run()
+    assert shuffled_loss == loss
+    assert np.array_equal(shuffled_logits, logits)
 
 
 def test_qa_windows_layout(vocab, model_cfg):

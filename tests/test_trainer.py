@@ -91,11 +91,12 @@ def test_masked_row_loss_equals_the_full_vocabulary_projection():
     params = trainer.params
     loss, metrics = pretrain_batch_loss(params, model_cfg, examples, True)
 
-    hidden = M.encode(params, model_cfg, *stack_batch(examples))
+    token_ids, boxes, mask = stack_batch(examples)
+    rows = M.encode(params, model_cfg, token_ids, boxes, mask)
     full, full_metrics = pretrain_loss(
-        M.head_mlm(params, hidden), M.head_cpc(params, hidden),
-        np.stack([e.mvlm_labels for e in examples]),
-        np.stack([e.cpc_labels for e in examples]),
+        M.head_mlm(params, rows), M.head_cpc(params, rows),
+        np.stack([e.mvlm_labels for e in examples])[mask],
+        np.stack([e.cpc_labels for e in examples])[mask],
     )
     assert abs(loss.item() - full.item()) <= 1e-12 * abs(full.item())
     assert metrics["mvlm_loss"] > 0
