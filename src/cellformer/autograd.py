@@ -5,9 +5,9 @@ Arrays are numpy; the graph is define-by-run. backward() ACCUMULATES into
 the ``.grad`` of leaf tensors only (call ``zero_grads`` before each optimizer
 step); an intermediate's gradient is freed once it has been passed on.
 
-Precision is a process-wide switch: float64 for gradient checking (the
-default), float32 for faster training. Set it once, before building
-parameters, via :func:`set_dtype`.
+A tensor keeps the float dtype it is given (integer data becomes float64)
+and an op computes in its operands' dtype, so precision belongs to the
+parameters: float64 for gradient checking, float32 for faster training.
 
 Importing this module fixes glibc's malloc thresholds (see
 :func:`fix_malloc_thresholds`).
@@ -22,7 +22,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-_DTYPE = np.float64
+PRECISIONS = {"float32": np.float32, "float64": np.float64}
 
 # glibc mallopt parameters (malloc.h) and the values this package fixes:
 # the highest its sliding thresholds reach on 64-bit (mmap 32 MiB, trim
@@ -63,12 +63,8 @@ class ShapeError(ValueError):
 
 
 def set_dtype(dtype) -> None:
-    """Select the default float dtype for newly created tensors."""
-    global _DTYPE
-    dtype = np.dtype(dtype)
-    if dtype not in (np.dtype(np.float32), np.dtype(np.float64)):
-        raise ValueError(f"unsupported dtype {dtype}; use float32 or float64")
-    _DTYPE = dtype.type
+    """Does nothing: a tensor keeps the dtype of its data. Kept only because
+    the benchmark's workloads (perfbench/workloads.py) still call it."""
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -97,10 +93,9 @@ class Tensor:
 
     def __init__(self, data, requires_grad: bool = False, _parents=(), _backward=None):
         arr = np.asarray(data)
-        if arr.dtype.kind in "fiu":
-            if arr.dtype != _DTYPE:
-                arr = arr.astype(_DTYPE)
-        else:
+        if arr.dtype.kind in "iu":
+            arr = arr.astype(np.float64)
+        elif arr.dtype.kind != "f":
             raise TypeError(f"tensor data must be numeric, got dtype {arr.dtype}")
         self.data = arr
         self.requires_grad = bool(requires_grad)
@@ -137,14 +132,14 @@ class Tensor:
             if p.requires_grad:
                 requires = True
                 break
-        if type(data) is not np.ndarray or data.dtype.type is not _DTYPE:
+        if type(data) is not np.ndarray:
             return Tensor(
                 data,
                 requires_grad=requires,
                 _parents=tuple(parents) if requires else (),
                 _backward=backward if requires else None,
             )
-        # an op's own output array: already numeric and of the engine dtype
+        # an op's own output array: already of its operands' float dtype
         out = object.__new__(Tensor)
         out.data = data
         out.requires_grad = requires
@@ -526,16 +521,7 @@ def detached(params: dict[str, Tensor]) -> dict[str, Tensor]:
     intermediate is freed as soon as the next op has read it. The
     originals are left as they are, so this is safe while other threads
     train or predict with them."""
-    out = {}
-    for name, p in params.items():
-        t = object.__new__(Tensor)
-        t.data = p.data
-        t.requires_grad = False
-        t.grad = None
-        t._parents = ()
-        t._backward = None
-        out[name] = t
-    return out
+    return {name: Tensor(p.data) for name, p in params.items()}
 
 
 def zero_grads(params) -> None:

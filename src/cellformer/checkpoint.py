@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .autograd import Tensor
+from .autograd import PRECISIONS, Tensor
 from .model import ModelConfig, heads_present, parameter_shapes
 from .optim import AdamState
 
@@ -52,9 +52,10 @@ class Checkpoint:
     precision: str = "float64"
 
     def parameters(self) -> dict[str, Tensor]:
-        """Trainable tensors in the engine's dtype over copies of the
-        arrays: training them leaves the checkpoint as it is."""
-        return {name: Tensor(self.arrays[name].copy(), requires_grad=True)
+        """Trainable tensors at the checkpoint's own precision, over copies
+        of the arrays: training them leaves the checkpoint as it is."""
+        dtype = PRECISIONS[self.precision]
+        return {name: Tensor(self.arrays[name].astype(dtype), requires_grad=True)
                 for name in sorted(self.arrays)}
 
 
@@ -118,8 +119,11 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
 
 
 def load_checkpoint(path) -> Checkpoint:
-    with open(path, "rb") as fh:
-        blob = fh.read()
+    try:
+        with open(path, "rb") as fh:
+            blob = fh.read()
+    except OSError as e:
+        raise CheckpointError(f"cannot read checkpoint {path}: {e}") from None
 
     newline = blob.find(b"\n")
     if newline < 0:

@@ -2,8 +2,8 @@
 ablation harness, and the gradient oracle.
 
 Every command prints its fully resolved configuration and is deterministic
-given that configuration. Exit codes: 0 success, 1 usage/config error,
-2 data error, 3 gradient-check failure.
+given that configuration. Exit codes: 0 success, 1 usage/config error or
+other failed file operation, 2 data error, 3 gradient-check failure.
 """
 
 from __future__ import annotations
@@ -512,6 +512,9 @@ def main(argv=None) -> int:
     except (DataError, CheckpointError) as e:
         print(f"data error: {e}", file=sys.stderr)
         return EXIT_DATA
+    except OSError as e:  # e.g. an --out that is an existing file
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -35,7 +35,11 @@ def _write_jsonl(records: Iterable[dict], path) -> int:
 
 
 def _iter_jsonl(path) -> Iterator[tuple[int, dict]]:
-    with open(path, "r", encoding="utf-8") as fh:
+    try:
+        fh = open(path, "r", encoding="utf-8")
+    except OSError as e:
+        raise DataError(f"cannot read {path}: {e}") from None
+    with fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:

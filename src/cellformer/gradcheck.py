@@ -128,8 +128,7 @@ def _check_loss(name, loss_fn, params, report, seed):
 def run_grad_check(seed: int = 0) -> tuple[bool, dict[str, tuple[float, int]]]:
     """FD-check the trainers' own losses on the tiny model: the joint
     pre-training loss and the three fine-tuning losses, each from fresh
-    parameters; returns (passed, per-group report)."""
-    ag.set_dtype(np.float64)
+    float64 parameters; returns (passed, per-group report)."""
     synth_cfg, vocab, model_cfg = _tiny_setup(seed)
     pre_cfg = PretrainConfig()
     report: dict[str, tuple[float, int]] = {}

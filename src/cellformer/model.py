@@ -111,11 +111,13 @@ def parameter_shapes(config: ModelConfig, heads=PRETRAIN_HEADS) -> dict[str, tup
 
 
 def init_parameters(
-    config: ModelConfig, rng: np.random.Generator, heads=PRETRAIN_HEADS
+    config: ModelConfig, rng: np.random.Generator, heads=PRETRAIN_HEADS,
+    dtype=np.float64,
 ) -> dict[str, Tensor]:
-    """Fresh trainable parameters for the encoder plus the requested heads:
-    ones for layer-norm gains (`*_g`), zeros for biases, truncated normal
-    for every matrix, drawn in `parameter_shapes` order.
+    """Fresh trainable parameters of `dtype`, the precision the model then
+    computes at, for the encoder plus the requested heads: ones for
+    layer-norm gains (`*_g`), zeros for biases, truncated normal for every
+    matrix, drawn in float64 in `parameter_shapes` order and then cast.
 
     The MLM projection is weight-tied to `word_emb`; only its bias is a
     separate array.
@@ -128,7 +130,7 @@ def init_parameters(
             arr = np.zeros(shape)
         else:
             arr = _trunc_normal(rng, shape)
-        params[name] = Tensor(arr, requires_grad=True)
+        params[name] = Tensor(arr.astype(dtype, copy=False), requires_grad=True)
     return params
 
 

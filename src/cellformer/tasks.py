@@ -17,7 +17,7 @@ import numpy as np
 
 from . import autograd as ag
 from . import model as M
-from .autograd import Tensor, backward, zero_grads
+from .autograd import PRECISIONS, Tensor, backward, zero_grads
 from .checkpoint import Checkpoint
 from .dataio import DataError, read_cls_examples, read_qa_examples, read_tagging_examples
 from .documents import (
@@ -29,7 +29,7 @@ from .model import MASK_NEG
 from .optim import adam_step, init_adam
 from .pretrain import IGNORE_LABEL, derive_rng, labeled_rows
 from .taskdata import QaExample
-from .trainer import PRECISIONS, IndexSampler, TrainConfig, lr_at
+from .trainer import IndexSampler, TrainConfig, lr_at
 from .vocab import CLS_ID, SEP_ID, PAD_ID, Vocab, detokenize, tokenize_to_ids
 
 logger = logging.getLogger(__name__)
@@ -40,18 +40,20 @@ def prepare_finetune_params(
     task: str,
     init: Optional[Checkpoint],
     seed: int,
+    dtype=np.float64,
 ) -> dict[str, Tensor]:
-    """Encoder weights from a checkpoint (or fresh), plus a fresh task head;
-    pre-training heads are dropped."""
+    """Encoder weights from a checkpoint (or fresh), plus a fresh task head,
+    all of `dtype`; pre-training heads are dropped."""
     if task not in TASKS:
         raise ValueError(f"unknown task {task!r}; expected one of {tuple(TASKS)}")
     fresh = M.init_parameters(model_cfg, derive_rng(seed, "init", task),
-                              heads=(TASKS[task].head,))
+                              heads=(TASKS[task].head,), dtype=dtype)
     if init is None:
         return fresh
     encoder_names = set(M.parameter_shapes(model_cfg, heads=()))
-    loaded = init.parameters()  # copies: the checkpoint keeps its weights
-    return {name: loaded[name] if name in encoder_names else fresh[name]
+    # copies at `dtype`: the checkpoint keeps its weights
+    return {name: Tensor(init.arrays[name].astype(dtype), requires_grad=True)
+            if name in encoder_names else fresh[name]
             for name in sorted(fresh)}
 
 
@@ -249,7 +251,8 @@ def qa_loss(params, model_cfg: M.ModelConfig, items, rng=None) -> Tensor:
     # the softmax runs over a window's positions, so the span logits go back
     # to the padded layout [B, L, 2], read as [B, 2, L]: start and end rows
     span = ag.scatter_rows(M.head_span(params, rows), np.nonzero(mask), mask.shape + (2,))
-    doc_bias = Tensor(np.where(np.stack([w.doc_mask for w in wins]), 0.0, MASK_NEG)[:, None])
+    doc_bias = Tensor(np.where(np.stack([w.doc_mask for w in wins]), 0.0, MASK_NEG)
+                      .astype(span.data.dtype)[:, None])
     targets = np.array([(s, e) for _, s, e in items])
     return ag.softmax_cross_entropy(span.swapaxes(1, 2) + doc_bias, targets)
 
@@ -366,8 +369,8 @@ def finetune(
             if not 0 <= ex.label < model_cfg.num_doc_classes:
                 raise DataError(f"{ex.doc.doc_id}: class label {ex.label} outside "
                                 f"[0, {model_cfg.num_doc_classes})")
-    ag.set_dtype(PRECISIONS[train_cfg.precision])
-    params = prepare_finetune_params(model_cfg, task, init, train_cfg.seed)
+    params = prepare_finetune_params(model_cfg, task, init, train_cfg.seed,
+                                     PRECISIONS[train_cfg.precision])
     adam = init_adam(params)
 
     spec = TASKS[task]

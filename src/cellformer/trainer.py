@@ -18,7 +18,7 @@ import numpy as np
 
 from . import autograd as ag
 from . import model as M
-from .autograd import Tensor, backward, zero_grads
+from .autograd import PRECISIONS, Tensor, backward, zero_grads
 from .checkpoint import Checkpoint
 from .documents import RawDocument, encode_document, stack_batch
 from .optim import adam_step, init_adam
@@ -29,8 +29,6 @@ from .pretrain import (
 from .vocab import Vocab
 
 logger = logging.getLogger(__name__)
-
-PRECISIONS = {"float32": np.float32, "float64": np.float64}
 
 
 @dataclass
@@ -150,7 +148,6 @@ class Pretrainer:
             if found != heads:
                 raise ValueError(f"cannot resume a checkpoint with heads {found} with "
                                  f"cpc {'on' if use_cpc else 'off'}, which trains {heads}")
-        ag.set_dtype(PRECISIONS[train_cfg.precision])
         self.vocab = vocab
         self.model_cfg = model_cfg
         self.train_cfg = train_cfg
@@ -170,7 +167,8 @@ class Pretrainer:
         self.sampler = IndexSampler(len(self.train_seqs), train_cfg.seed)
         if resume is None:
             init_rng = derive_rng(train_cfg.seed, "init")
-            self.params = M.init_parameters(model_cfg, init_rng, heads=heads)
+            self.params = M.init_parameters(model_cfg, init_rng, heads=heads,
+                                            dtype=PRECISIONS[train_cfg.precision])
             self.adam = init_adam(self.params)
             self.start_step = 0
             self.rng = derive_rng(train_cfg.seed, "trainer")

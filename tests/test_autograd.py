@@ -10,12 +10,6 @@ from cellformer.gradcheck import finite_difference_errors
 from cellformer.optim import AdamState, adam_step, init_adam
 
 
-@pytest.fixture(autouse=True)
-def double_precision():
-    ag.set_dtype(np.float64)
-    yield
-
-
 def fd_grad(loss_fn, tensor, h=1e-5):
     """Central finite differences; touches only the forward path."""
     out = np.zeros(tensor.data.size)

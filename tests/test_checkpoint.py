@@ -6,7 +6,6 @@ import json
 import numpy as np
 import pytest
 
-from cellformer import autograd as ag
 from cellformer import model as M
 from cellformer.checkpoint import (
     Checkpoint, CheckpointError, CheckpointShapeError, CheckpointTruncatedError,
@@ -16,12 +15,6 @@ from cellformer.cli import main
 from cellformer.optim import init_adam
 from cellformer.pretrain import derive_rng
 from cellformer.vocab import build_vocab
-
-
-@pytest.fixture(autouse=True)
-def double_precision():
-    ag.set_dtype(np.float64)
-    yield
 
 
 def make_checkpoint(with_adam=True, heads=("mlm", "cpc")):
@@ -214,7 +207,6 @@ def test_manifest_count_matches_config_parameter_count(tmp_path):
 
 
 def test_float32_checkpoint_round_trip(tmp_path):
-    ag.set_dtype(np.float32)
     ck = make_checkpoint(with_adam=True)
     ck = Checkpoint(
         model_config=ck.model_config,
@@ -229,4 +221,6 @@ def test_float32_checkpoint_round_trip(tmp_path):
     save_checkpoint(p1, ck)
     save_checkpoint(p2, load_checkpoint(p1))
     assert p1.read_bytes() == p2.read_bytes()
-    assert load_checkpoint(p1).arrays["word_emb"].dtype == np.float32
+    loaded = load_checkpoint(p1)
+    assert loaded.arrays["word_emb"].dtype == np.float32
+    assert {p.data.dtype for p in loaded.parameters().values()} == {np.dtype(np.float32)}

@@ -525,13 +525,40 @@ def test_ablate_exits_with_the_first_failed_variants_error(pipeline, tmp_path, v
     env = {**os.environ, "PYTHONPATH": str(Path(cellformer.__file__).parents[1])}
     proc = subprocess.run([sys.executable, "-m", "cellformer.cli", *args],
                           capture_output=True, text=True, env=env, timeout=600)
-    # the worker's error has no documented code, so it ends the process
+    # a file the worker could not write: one line naming it, exit 1
     assert proc.returncode == 1
-    assert proc.stderr.rstrip().splitlines()[-1].startswith("IsADirectoryError")
+    first = variants.split(",")[0]
+    log = "finetune" if first == "no_pretrain" else "pretrain"
+    last = proc.stderr.rstrip().splitlines()[-1]
+    assert last.startswith("error: ")
+    assert str(tmp_path / "ab" / first / f"{log}_metrics.jsonl") in last
     table = (tmp_path / "ab" / "ablation.txt").read_text().splitlines()
     for line, variant in zip(table[1:], variants.split(","), strict=True):
         assert line.startswith(variant) and "failed: " in line
     assert not (tmp_path / "ab" / "mvlm_loss_series.tsv").exists()
+
+
+@pytest.mark.parametrize("command,flag,code", [
+    ("pretrain", "--corpus", 2), ("finetune", "--labels", 2),
+    ("finetune", "--init", 2), ("finetune", "--out", 1),
+])
+def test_a_path_that_cannot_be_opened_is_one_line_not_a_traceback(
+        pipeline, tmp_path, capsys, command, flag, code):
+    _, out, _ = pipeline
+    run_dir = tmp_path / "run"
+    args = command_args(out, command, run_dir)
+    if flag == "--out":  # an existing file where the output directory goes
+        bad = run_dir
+        bad.write_text("not a directory\n")
+    else:  # a missing input: a data error, found before any output exists
+        bad = tmp_path / "missing"
+    args[args.index(flag) + 1] = str(bad)
+    assert main(args) == code
+    last = capsys.readouterr().err.rstrip().splitlines()[-1]
+    assert last.startswith("data error: " if code == 2 else "error: ")
+    assert str(bad) in last
+    if flag != "--out":
+        assert not run_dir.exists()
 
 
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")

@@ -7,7 +7,6 @@ from collections import Counter
 import numpy as np
 
 import cellformer.autograd
-from cellformer import autograd as ag
 from cellformer import gradcheck, tasks, trainer
 from cellformer.autograd import Tensor
 from cellformer.gradcheck import REL_TOL, finite_difference_errors, run_grad_check
@@ -68,7 +67,6 @@ def test_corrupted_backward_rule_is_caught(monkeypatch):
 
 
 def test_phantom_gradient_is_caught(weighted_sum):
-    ag.set_dtype(np.float64)
     w = Tensor(np.ones(3), requires_grad=True)
     dead = Tensor(np.ones(3), requires_grad=True)
 

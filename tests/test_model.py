@@ -11,12 +11,6 @@ from cellformer.autograd import Tensor
 from cellformer.pretrain import derive_rng
 
 
-@pytest.fixture(autouse=True)
-def double_precision():
-    ag.set_dtype(np.float64)
-    yield
-
-
 def small_config(**kw):
     base = dict(vocab_size=32, num_layers=2, num_heads=2, hidden_d=16,
                 ffn_d=32, max_len=12, num_doc_classes=3)

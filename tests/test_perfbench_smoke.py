@@ -6,10 +6,7 @@ fails here, not only in a benchmark run."""
 import importlib.util
 from pathlib import Path
 
-import numpy as np
 import pytest
-
-from cellformer import autograd as ag
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -22,15 +19,8 @@ def load(name):
     return module
 
 
-@pytest.fixture
-def float64_after():
-    yield
-    ag.set_dtype(np.float64)  # the workloads switch the engine to float32
-
-
 @pytest.mark.parametrize("workload", ["pretrain", "tag_batch", "qa_online"])
-def test_workload_sets_up_and_runs_one_checked_operation(workload, tmp_path,
-                                                         float64_after):
+def test_workload_sets_up_and_runs_one_checked_operation(workload, tmp_path):
     gen, workloads = load("gen"), load("workloads")
     gen.generate(workload, 1, tmp_path)
     bench = workloads.WORKLOADS[workload](1)

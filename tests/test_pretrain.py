@@ -4,7 +4,6 @@ a brute-force oracle, and the combined loss."""
 import numpy as np
 import pytest
 
-from cellformer import autograd as ag
 from cellformer.autograd import Tensor
 from cellformer.documents import TokenizedSequence, encode_document
 from cellformer.pretrain import (
@@ -13,12 +12,6 @@ from cellformer.pretrain import (
 )
 from cellformer.synth import SynthConfig, gen_pretrain_doc, vocab_words
 from cellformer.vocab import CLS_ID, MASK_ID, PAD_ID, SEP_ID, build_vocab
-
-
-@pytest.fixture(autouse=True)
-def double_precision():
-    ag.set_dtype(np.float64)
-    yield
 
 
 def brute_force_area(cx, cy, n_areas):

@@ -10,12 +10,12 @@ import pytest
 
 from cellformer import autograd as ag
 from cellformer import model as M
-from cellformer.autograd import Tensor
-from cellformer.checkpoint import load_checkpoint, save_checkpoint
+from cellformer.autograd import Tensor, backward
+from cellformer.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from cellformer.dataio import DataError
 from cellformer.documents import encode_document, stack_batch
 from cellformer.model import MASK_NEG, ModelConfig
-from cellformer.pretrain import IGNORE_LABEL, PretrainConfig
+from cellformer.pretrain import IGNORE_LABEL, PretrainConfig, derive_rng, make_pretrain_example
 from cellformer.metrics import TAG_TO_ID
 from cellformer.synth import SynthConfig, gen_cls_dataset, gen_form_dataset, gen_qa_dataset, vocab_words
 from cellformer.taskdata import split_train_eval
@@ -25,7 +25,7 @@ from cellformer.tasks import (
     qa_token_span, qa_training_window, qa_windows, tagging_items, tagging_loss,
     tagging_token_labels,
 )
-from cellformer.trainer import Pretrainer, TrainConfig
+from cellformer.trainer import Pretrainer, TrainConfig, pretrain_batch_loss
 from cellformer.vocab import CLS_ID, SEP_ID, build_vocab, tokenize_to_ids
 
 SYNTH = SynthConfig(seed=21, min_pairs=3, max_pairs=5)
@@ -84,7 +84,6 @@ def _padded(params, model_cfg, seqs):
 
 
 def test_tagging_loss_equals_the_padded_formulation(vocab, model_cfg):
-    ag.set_dtype(np.float64)
     params = prepare_finetune_params(model_cfg, "tagging", None, seed=3)
     items = tagging_items(gen_form_dataset(SYNTH, 4), vocab, model_cfg)
     hidden = _padded(params, model_cfg, [s for s, _ in items])
@@ -95,7 +94,6 @@ def test_tagging_loss_equals_the_padded_formulation(vocab, model_cfg):
 
 
 def test_qa_loss_equals_the_padded_formulation(vocab, model_cfg):
-    ag.set_dtype(np.float64)
     params = prepare_finetune_params(model_cfg, "qa", None, seed=3)
     items = qa_items(gen_qa_dataset(SYNTH, 4), vocab, model_cfg)
     hidden = _padded(params, model_cfg, [w for w, _, _ in items])
@@ -112,7 +110,6 @@ def test_qa_loss_equals_the_padded_formulation(vocab, model_cfg):
 
 
 def test_classification_logits_read_only_the_cls_row(vocab, model_cfg, monkeypatch):
-    ag.set_dtype(np.float64)
     params = prepare_finetune_params(model_cfg, "classification", None, seed=3)
     items = classification_items(gen_cls_dataset(SYNTH, 4), vocab, model_cfg)
     seqs = [s for s, _ in items]
@@ -289,6 +286,69 @@ def test_finetune_leaves_its_init_checkpoint_unchanged(vocab, model_cfg, tmp_pat
     for (p1, r1), (p2, r2) in zip(shared, loaded):
         assert r1 == r2
         assert all(np.array_equal(p1[k].data, p2[k].data) for k in p1)
+
+
+def test_predictions_do_not_depend_on_what_ran_before(vocab, model_cfg, tmp_path):
+    """A float32 checkpoint predicts in float32, with the same bits before
+    and after a float64 run in the same process."""
+    train, eval_ = split_train_eval(gen_form_dataset(SYNTH, 10))
+    params, _ = finetune("tagging", train, eval_, vocab, model_cfg,
+                         TrainConfig(steps=1, batch_size=2))
+    path = tmp_path / "tag.ckpt"
+    save_checkpoint(path, Checkpoint(
+        model_config=model_cfg, arrays={k: v.data for k, v in params.items()},
+        vocab_tokens=list(vocab.id_to_token), step=1, rng_state={},
+        precision="float32"))
+    seqs = [s for s, _ in tagging_items(eval_, vocab, model_cfg)]
+
+    def tag_logits():
+        params = load_checkpoint(path).parameters()
+        assert {p.data.dtype for p in params.values()} == {np.dtype(np.float32)}
+        return _head_logits(params, model_cfg, seqs, 4, M.head_tag)
+
+    before = tag_logits()
+    trained, _ = finetune("tagging", train, eval_, vocab, model_cfg,
+                          TrainConfig(steps=1, batch_size=2, precision="float64"),
+                          init=load_checkpoint(path))
+    assert {p.data.dtype for p in trained.values()} == {np.dtype(np.float64)}
+    after = tag_logits()
+    assert all(a.dtype == np.float32 and np.array_equal(a, b)
+               for a, b in zip(before, after, strict=True))
+
+
+@pytest.mark.parametrize("task", ["pretrain", *TASKS])
+def test_a_float32_loss_makes_no_float64_array(task, vocab, model_cfg, monkeypatch):
+    """Every op output of a float32 training loss with dropout (the encoder
+    rows among them), the loss and every parameter's gradient are float32:
+    no constant on the path upcasts it."""
+    made = []
+    op_result = Tensor._result
+
+    def recording(data, parents, back):
+        out = op_result(data, parents, back)
+        made.append(out.data.dtype)
+        return out
+
+    monkeypatch.setattr(Tensor, "_result", staticmethod(recording))
+    mc = dataclasses.replace(model_cfg, dropout=0.1)
+    rng = derive_rng(0, "dropout")
+    if task == "pretrain":
+        seqs = [encode_document(ex.doc, vocab, mc.max_len)
+                for ex in gen_form_dataset(SYNTH, 4)]
+        examples = [make_pretrain_example(s, PretrainConfig(), len(vocab), mc.num_areas,
+                                          derive_rng(0, s.doc_id))
+                    for s in seqs]
+        params = M.init_parameters(mc, derive_rng(0, "init"), dtype=np.float32)
+        loss, _ = pretrain_batch_loss(params, mc, examples, True, rng)
+    else:
+        params = prepare_finetune_params(mc, task, None, 0, np.float32)
+        spec = TASKS[task]
+        loss = spec.loss(params, mc, spec.items(TASK_DATA[task](SYNTH, 4), vocab, mc),
+                         rng=rng)
+    backward(loss)
+    float32 = {np.dtype(np.float32)}
+    assert set(made) == float32 and loss.data.dtype == np.float32
+    assert {p.grad.dtype for p in params.values() if p.grad is not None} == float32
 
 
 @pytest.mark.parametrize("task", TASKS)
