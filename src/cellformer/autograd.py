@@ -110,10 +110,6 @@ class Tensor:
         return self.data.shape
 
     @property
-    def ndim(self) -> int:
-        return self.data.ndim
-
-    @property
     def size(self) -> int:
         return self.data.size
 
@@ -161,22 +157,7 @@ class Tensor:
 
         return Tensor._result(out, (self, other), back)
 
-    def __mul__(self, factor):
-        """Scaling by a constant (a number or an array)."""
-        factor = np.asarray(factor, dtype=self.data.dtype)
-        out = self.data * factor
-        return Tensor._result(
-            out, (self,), lambda g: (_unbroadcast(g * factor, self.shape),)
-        )
-
     # -- shape ops -------------------------------------------------------
-
-    def reshape(self, *shape):
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        old = self.shape
-        out = self.data.reshape(shape)
-        return Tensor._result(out, (self,), lambda g: (g.reshape(old),))
 
     def swapaxes(self, a: int, b: int):
         out = self.data.swapaxes(a, b)
@@ -186,23 +167,6 @@ class Tensor:
 # ---------------------------------------------------------------------------
 # operations
 # ---------------------------------------------------------------------------
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product with numpy batch semantics ([..., m, k] @ [..., k, n])."""
-    ad, bd = a.data, b.data
-    if ad.ndim < 2 or bd.ndim < 2:
-        raise ShapeError(f"matmul needs >=2-d operands, got {a.shape} x {b.shape}")
-    if ad.shape[-1] != bd.shape[-2]:
-        raise ShapeError(f"matmul: inner dimensions differ: {a.shape} x {b.shape}")
-    out = ad @ bd
-
-    def back(g):
-        ga = _unbroadcast(g @ bd.swapaxes(-1, -2), ad.shape)
-        gb = _unbroadcast(ad.swapaxes(-1, -2) @ g, bd.shape)
-        return ga, gb
-
-    return Tensor._result(out, (a, b), back)
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -351,41 +315,52 @@ def gather_rows(x: Tensor, index) -> Tensor:
                           lambda g: (_scatter(g, index, shape),))
 
 
-def split_heads(x: Tensor, index, batch: int, seq_len: int, n_heads: int) -> Tensor:
-    """Packed rows [N, d] to attention heads [batch, n_heads, seq_len,
-    d / n_heads], zero at every position `index` does not name."""
-    n, d = x.shape
-    shape = (batch, seq_len, n_heads, d // n_heads)
-    return Tensor._result(
-        _scatter(x.data, index, shape).swapaxes(1, 2), (x,),
-        lambda g: (g.swapaxes(1, 2)[index].reshape(n, d),),
-    )
+def attention(q: Tensor, k: Tensor, v: Tensor, index, bias: np.ndarray, n_heads: int,
+              p: float = 0.0, rng: Optional[np.random.Generator] = None) -> Tensor:
+    """Multi-head scaled dot-product attention from packed rows [N, d] at
+    `index` to packed rows [N, d]. `bias` [B, 1, 1, L], the additive key
+    mask, gives the padded layout [B, H, L, d / H] that the heads are
+    scattered into, zero at pad; that layout exists only inside this op.
+    The weights softmax(q k^T / sqrt(d / H) + bias) are dropped out at rate
+    `p` with a mask from `rng`; a pad key gets weight exactly 0, as any
+    masked key does."""
+    if not q.shape == k.shape == v.shape:
+        raise ShapeError(f"attention: q, k, v differ: {q.shape}, {k.shape}, {v.shape}")
+    n, d = q.shape
+    if d % n_heads:
+        raise ShapeError(f"attention: width {d} not divisible by {n_heads} heads")
+    shape = (bias.shape[0], bias.shape[-1], n_heads, d // n_heads)
+    scale = 1.0 / math.sqrt(d // n_heads)
+    qh, kh, vh = (_scatter(t.data, index, shape).swapaxes(1, 2) for t in (q, k, v))
 
-
-def merge_heads(x: Tensor, index) -> Tensor:
-    """Heads [B, H, L, e] merged back to packed rows [N, H * e] at `index`;
-    the inverse of :func:`split_heads`."""
-    batch, n_heads, seq_len, e = x.shape
-    shape = (batch, seq_len, n_heads, e)
-    return Tensor._result(
-        x.data.swapaxes(1, 2)[index].reshape(-1, n_heads * e), (x,),
-        lambda g: (_scatter(g, index, shape).swapaxes(1, 2),),
-    )
-
-
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    y = x.data - x.data.max(axis=axis, keepdims=True)
+    # each temporary is updated in place; the arithmetic and its order are
+    # those of the separate product, scale, mask and softmax steps
+    y = qh @ kh.swapaxes(-1, -2)
+    y *= scale
+    y += bias
+    y -= y.max(axis=-1, keepdims=True)
     np.exp(y, out=y)
-    y /= y.sum(axis=axis, keepdims=True)
+    y /= y.sum(axis=-1, keepdims=True)
+    mask = _dropout_mask(y.shape, y.dtype, p, rng)
+    weights = y if mask is None else y * mask
+    out = (weights @ vh).swapaxes(1, 2)[index].reshape(n, d)
 
     def back(g):
-        # (g - sum(g * y)) * y, in place
-        dx = g * y
-        np.subtract(g, dx.sum(axis=axis, keepdims=True), out=dx)
-        dx *= y
-        return (dx,)
+        g = _scatter(g, index, shape).swapaxes(1, 2)
+        dw = g @ vh.swapaxes(-1, -2)
+        dv = weights.swapaxes(-1, -2) @ g
+        if mask is not None:
+            dw *= mask
+        # softmax: (dw - sum(dw * y)) * y, then the scale
+        ds = dw * y
+        np.subtract(dw, ds.sum(axis=-1, keepdims=True), out=ds)
+        ds *= y
+        ds *= scale
+        dq = ds @ kh
+        dk = (qh.swapaxes(-1, -2) @ ds).swapaxes(-1, -2)
+        return tuple(t.swapaxes(1, 2)[index].reshape(n, d) for t in (dq, dk, dv))
 
-    return Tensor._result(y, (x,), back)
+    return Tensor._result(out, (q, k, v), back)
 
 
 def softmax_cross_entropy(logits: Tensor, targets, ignore_label: int = -100) -> Tensor:
@@ -446,17 +421,24 @@ def softmax_cross_entropy(logits: Tensor, targets, ignore_label: int = -100) -> 
     return Tensor._result(np.asarray(loss), (logits,), back)
 
 
-def dropout(x: Tensor, p: float, rng: Optional[np.random.Generator] = None) -> Tensor:
-    """Inverted dropout; p == 0 returns the input tensor unchanged."""
+def _dropout_mask(shape: tuple, dtype, p: float, rng) -> Optional[np.ndarray]:
+    """The scaled keep-mask of inverted dropout at rate `p`, drawn from
+    `rng`; None when p == 0."""
     if p == 0.0:
-        return x
+        return None
     if not 0.0 < p < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {p}")
     if rng is None:
         raise ValueError("dropout with p > 0 needs an explicit rng for determinism")
-    mask = (rng.random(x.shape) >= p).astype(x.data.dtype) / (1.0 - p)
-    out = x.data * mask
-    return Tensor._result(out, (x,), lambda g: (g * mask,))
+    return (rng.random(shape) >= p).astype(dtype) / (1.0 - p)
+
+
+def dropout(x: Tensor, p: float, rng: Optional[np.random.Generator] = None) -> Tensor:
+    """Inverted dropout; p == 0 returns the input tensor unchanged."""
+    mask = _dropout_mask(x.shape, x.data.dtype, p, rng)
+    if mask is None:
+        return x
+    return Tensor._result(x.data * mask, (x,), lambda g: (g * mask,))
 
 
 # ---------------------------------------------------------------------------

@@ -40,17 +40,20 @@ def _iter_jsonl(path) -> Iterator[tuple[int, dict]]:
     except OSError as e:
         raise DataError(f"cannot read {path}: {e}") from None
     with fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise DataError(f"{path}:{lineno}: invalid JSON: {e}") from None
-            if not isinstance(record, dict):
-                raise DataError(f"{path}:{lineno}: expected a JSON object")
-            yield lineno, record
+        try:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    record = json.loads(line)
+                except json.JSONDecodeError as e:
+                    raise DataError(f"{path}:{lineno}: invalid JSON: {e}") from None
+                if not isinstance(record, dict):
+                    raise DataError(f"{path}:{lineno}: expected a JSON object")
+                yield lineno, record
+        except UnicodeDecodeError as e:
+            raise DataError(f"{path}: not UTF-8 text: {e}") from None
 
 
 def _read_records(path, parse: Callable[[dict], object]) -> Iterator:

@@ -96,30 +96,26 @@ def extract_span(
 
     Valid pairs satisfy start <= end, end - start < max_answer_len, and both
     positions inside `valid` (all positions when omitted). Ties break toward
-    the smallest start, then the smallest end.
+    the smallest start, then the smallest end. A NaN or -inf score is never
+    picked; with no valid pair left, ValueError is raised.
     """
     start_logits = np.asarray(start_logits, dtype=np.float64)
     end_logits = np.asarray(end_logits, dtype=np.float64)
     n = len(start_logits)
     if len(end_logits) != n:
         raise ValueError("start/end logits length mismatch")
-    if valid is None:
-        valid = np.ones(n, dtype=bool)
-    best: tuple[int, int] | None = None
-    best_score = -np.inf
-    for i in range(n):
-        if not valid[i]:
-            continue
-        for j in range(i, min(i + max_answer_len, n)):
-            if not valid[j]:
-                continue
-            score = start_logits[i] + end_logits[j]
-            if score > best_score:
-                best_score = score
-                best = (i, j)
-    if best is None:
+    valid = np.ones(n, dtype=bool) if valid is None else np.asarray(valid, dtype=bool)
+    # [start, k] -> end = start + k, for every span no longer than max_answer_len
+    ends = np.arange(n)[:, None] + np.arange(min(max_answer_len, n))
+    ok = ends < n
+    ends[~ok] = 0
+    scores = start_logits[:, None] + end_logits[ends]
+    ok &= valid[:, None] & valid[ends] & (scores > -np.inf)
+    if not ok.any():
         raise ValueError("no valid (start, end) pair")
-    return best
+    # argmax takes the first maximum in row-major order: smallest start, then end
+    start, k = divmod(int(np.argmax(np.where(ok, scores, -np.inf))), ends.shape[1])
+    return start, start + k
 
 
 def levenshtein(a: str, b: str) -> int:

@@ -8,8 +8,9 @@ share their entire layout contribution.
 The encoder works on packed rows: it gathers a batch's real tokens once into
 [N, d] (N real tokens across the batch, in row-major order of their [B, L]
 positions), runs every position-wise block there and returns those rows
-(see `encode`). Only attention uses the padded [B, H, L, L] layout. Every
-head is a plain projection of rows; a loss picks the rows it scores.
+(see `encode`). Only the attention op (`autograd.attention`) uses the
+padded [B, H, L, L] layout, inside itself. Every head is a plain
+projection of rows; a loss picks the rows it scores.
 """
 
 from __future__ import annotations
@@ -182,11 +183,10 @@ def input_embedding(
     return ag.dropout(out, config.dropout if rng is not None else 0.0, rng)
 
 
-def _attention_bias(attn_mask: np.ndarray, dtype) -> Tensor:
+def _attention_bias(attn_mask: np.ndarray, dtype) -> np.ndarray:
     """[B, 1, 1, L] additive bias: 0 at visible keys, MASK_NEG at pad."""
     mask = np.asarray(attn_mask, dtype=bool)
-    bias = np.where(mask, 0.0, MASK_NEG).astype(dtype)
-    return Tensor(bias[:, None, None, :])
+    return np.where(mask, 0.0, MASK_NEG).astype(dtype)[:, None, None, :]
 
 
 def encode(
@@ -210,7 +210,7 @@ def encode(
     row-major order of their positions: the input embedding, the Q/K/V/O
     and FFN projections, GELU, both layer norms and the residual adds are
     position-wise, so a pad position never reaches a real one through
-    them. Only attention scatters the rows into the padded layout
+    them. Only the attention op scatters the rows into the padded layout
     [B, H, L', d / H], over the prefix L' that ends at the last position
     any row attends to. Pad queries, keys and values are zeros there, and
     pad keys get weight exactly 0, as any masked key does.
@@ -219,29 +219,20 @@ def encode(
     boxes = np.asarray(boxes).reshape(token_ids.shape + (4,))
     attn_mask = np.atleast_2d(np.asarray(attn_mask, dtype=bool))
 
-    batch, full_len = token_ids.shape
     attended = np.flatnonzero(attn_mask.any(axis=0))
-    seq_len = int(attended[-1]) + 1 if len(attended) else full_len
+    seq_len = int(attended[-1]) + 1 if len(attended) else token_ids.shape[1]
     attn_mask = attn_mask[:, :seq_len]
     real = np.nonzero(attn_mask)  # (row, position) of each packed token
 
     drop = config.dropout if rng is not None else 0.0
-    n_heads = config.num_heads
-    scale = 1.0 / math.sqrt(config.hidden_d // n_heads)
-
     h = input_embedding(params, config, token_ids[real], real[1], boxes[real], rng)
     bias = _attention_bias(attn_mask, h.data.dtype)
 
     for i in range(config.num_layers):
         pre = f"layer{i}."
-        q, k, v = (
-            ag.split_heads(ag.linear(h, params[pre + n + "_w"], params[pre + n + "_b"]),
-                           real, batch, seq_len, n_heads)
-            for n in "qkv"
-        )
-        scores = ag.matmul(q, k.swapaxes(2, 3)) * scale + bias
-        attn = ag.dropout(ag.softmax(scores, axis=-1), drop, rng)
-        ctx = ag.merge_heads(ag.matmul(attn, v), real)
+        q, k, v = (ag.linear(h, params[pre + n + "_w"], params[pre + n + "_b"])
+                   for n in "qkv")
+        ctx = ag.attention(q, k, v, real, bias, config.num_heads, drop, rng)
         attn_out = ag.dropout(
             ag.linear(ctx, params[pre + "o_w"], params[pre + "o_b"]), drop, rng,
         )

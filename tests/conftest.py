@@ -11,12 +11,13 @@ from cellformer.autograd import Tensor
 @pytest.fixture
 def weighted_sum():
     """`reduce(t, w)`: the scalar sum of `t * w` for a constant array or a
-    tensor `w`, built from matmul and reshape alone, to turn an op's output
-    into the scalar loss a gradient test differentiates."""
+    tensor `w` of the same shape, as one test-local op, to turn an op's
+    output into the scalar loss a gradient test differentiates."""
 
     def reduce(t, w):
         w = w if isinstance(w, Tensor) else Tensor(np.asarray(w))
-        return ag.matmul(t.reshape(1, -1), w.reshape(-1, 1))
+        return Tensor._result(np.sum(t.data * w.data), (t, w),
+                              lambda g: (g * w.data, g * t.data))
 
     return reduce
 

@@ -34,58 +34,6 @@ def assert_grad_close(analytic, fd, rel_tol=1e-4, floor=1e-8):
     assert np.abs(analytic[~mask]).max(initial=0.0) < 1e-6
 
 
-# -- matmul -------------------------------------------------------------------
-
-
-def test_matmul_identity():
-    a = Tensor(np.eye(2))
-    b = Tensor([[1.0, 2.0], [3.0, 4.0]])
-    assert np.array_equal(ag.matmul(a, b).data, b.data)
-
-
-def test_matmul_hand_product():
-    a = Tensor([[1.0, 2.0]])
-    b = Tensor([[3.0], [4.0]])
-    assert ag.matmul(a, b).data.tolist() == [[11.0]]
-
-
-def test_matmul_shape_error_names_both_shapes():
-    a = Tensor(np.zeros((2, 3)))
-    b = Tensor(np.zeros((2, 3)))
-    with pytest.raises(ShapeError, match=r"\(2, 3\).*\(2, 3\)"):
-        ag.matmul(a, b)
-
-
-def test_matmul_grad_matches_fd(weighted_sum):
-    rng = np.random.default_rng(0)
-    a = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
-    b = Tensor(rng.normal(size=(4, 2)), requires_grad=True)
-    w = rng.normal(size=(3, 2))
-
-    def loss():
-        return weighted_sum(ag.matmul(a, b), w)
-
-    zero_grads([a, b])
-    backward(loss())
-    assert_grad_close(a.grad, fd_grad(loss, a))
-    assert_grad_close(b.grad, fd_grad(loss, b))
-
-
-def test_matmul_batched_grad_matches_fd(weighted_sum):
-    rng = np.random.default_rng(1)
-    a = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
-    b = Tensor(rng.normal(size=(4, 5)), requires_grad=True)
-    w = rng.normal(size=(2, 3, 5))
-
-    def loss():
-        return weighted_sum(ag.matmul(a, b), w)
-
-    zero_grads([a, b])
-    backward(loss())
-    assert_grad_close(a.grad, fd_grad(loss, a))
-    assert_grad_close(b.grad, fd_grad(loss, b))
-
-
 # -- layer norm ----------------------------------------------------------------
 
 
@@ -253,41 +201,121 @@ def test_scatter_and_gather_rows_place_packed_rows_and_grads_match_fd(weighted_s
     assert_grad_close(full.grad, fd_grad(loss, full))
 
 
-def test_split_heads_matches_scatter_reshape_swapaxes_and_grad_matches_fd(weighted_sum):
-    rng = np.random.default_rng(13)
-    x = Tensor(rng.normal(size=(5, 6)), requires_grad=True)
-    out = ag.split_heads(x, PACKED, 2, 4, 3)
-    assert out.shape == (2, 3, 4, 2)
-    reference = ag.scatter_rows(x, PACKED, (2, 4, 6)).data.reshape(2, 4, 3, 2)
-    assert np.array_equal(out.data, reference.swapaxes(1, 2))
-    w = rng.normal(size=(2, 3, 4, 2))
-
-    def loss():
-        return weighted_sum(ag.split_heads(x, PACKED, 2, 4, 3), w)
-
-    zero_grads([x])
-    backward(loss())
-    assert_grad_close(x.grad, fd_grad(loss, x))
+# -- attention -------------------------------------------------------------------
 
 
-def test_merge_heads_inverts_split_heads_and_grad_matches_fd(weighted_sum):
-    rng = np.random.default_rng(14)
-    x = Tensor(rng.normal(size=(2, 3, 4, 2)), requires_grad=True)
-    out = ag.merge_heads(x, PACKED)
+def _key_mask(index, shape, masked=()):
+    """[B, L] True at the positions of `index`, less the `masked` ones."""
+    mask = np.zeros(shape, dtype=bool)
+    mask[index] = True
+    for pos in masked:
+        mask[pos] = False
+    return mask
+
+
+def _bias(mask):
+    return np.where(mask, 0.0, -1e9)[:, None, None, :]
+
+
+def attention_reference(q, k, v, index, mask, n_heads, keep=None):
+    """Attention written out per batch row and head over the padded layout,
+    pad keys included: softmax(Q K^T / sqrt(e) + bias) V, with the weights
+    multiplied by `keep` [B, H, L, L] when given. Returns the context at
+    `index`."""
+    batch, seq_len = mask.shape
+    d = q.shape[1]
+    e = d // n_heads
+    ctx = np.zeros((batch, seq_len, d))
+    for b in range(batch):
+        rows = index[0] == b
+        Q, K, V = (np.zeros((seq_len, d)) for _ in range(3))
+        for full, packed in ((Q, q), (K, k), (V, v)):
+            full[index[1][rows]] = packed[rows]
+        for h in range(n_heads):
+            cols = slice(h * e, (h + 1) * e)
+            s = Q[:, cols] @ K[:, cols].T / np.sqrt(e) + np.where(mask[b], 0.0, -1e9)
+            w = np.exp(s - s.max(axis=1, keepdims=True))
+            w /= w.sum(axis=1, keepdims=True)
+            if keep is not None:
+                w = w * keep[b, h]
+            ctx[b, :, cols] = w @ V[:, cols]
+    return ctx[index]
+
+
+def test_attention_matches_a_numpy_reference_and_pad_keys_get_zero_weight(weighted_sum):
+    rng = np.random.default_rng(15)
+    q, k, v = (rng.normal(size=(5, 6)) for _ in range(3))
+    mask = _key_mask(PACKED, (2, 4))
+    out = ag.attention(Tensor(q), Tensor(k), Tensor(v), PACKED, _bias(mask), 3)
     assert out.shape == (5, 6)
-    assert np.array_equal(out.data, x.data.swapaxes(1, 2)[PACKED].reshape(5, 6))
-    assert np.array_equal(ag.merge_heads(ag.split_heads(out, PACKED, 2, 4, 3), PACKED).data,
-                          out.data)
+    ref = attention_reference(q, k, v, PACKED, mask, 3)
+    assert np.allclose(out.data, ref, rtol=1e-12, atol=1e-12)
+
+    # a pad key acts exactly as a real key that the bias masks: made a real
+    # row with random q, k and v, position (1, 1) leaves every other row's
+    # context the same to the bit
+    index = (np.array([0, 0, 0, 1, 1, 1]), np.array([0, 1, 2, 0, 1, 3]))
+    qkv = [Tensor(np.insert(t, 4, rng.normal(size=6), axis=0), requires_grad=True)
+           for t in (q, k, v)]
+    out_masked = ag.attention(*qkv, index, _bias(mask), 3)
+    assert np.array_equal(np.delete(out_masked.data, 4, axis=0), out.data)
+    # and it gets weight exactly 0 from every query: no gradient reaches it
+    backward(weighted_sum(out_masked, rng.normal(size=(6, 6))))
+    k_grad, v_grad = qkv[1].grad, qkv[2].grad
+    assert np.all(k_grad[4] == 0.0) and np.all(v_grad[4] == 0.0)
+    assert np.abs(v_grad[3]).sum() > 0
+
+
+# row 0's second token is a real row whose key the bias masks
+MASKED_KEY = [(0, 1)]
+
+
+def _attention_grads_match_fd(weighted_sum, seed, p):
+    """FD check of q, k and v through attention at rate `p`; each forward
+    draws its dropout mask from a fresh rng of the same seed."""
+    rng = np.random.default_rng(seed)
+    q, k, v = (Tensor(rng.normal(size=(5, 6)), requires_grad=True) for _ in range(3))
+    bias = _bias(_key_mask(PACKED, (2, 4), MASKED_KEY))
     w = rng.normal(size=(5, 6))
 
     def loss():
-        return weighted_sum(ag.merge_heads(x, PACKED), w)
+        return weighted_sum(ag.attention(q, k, v, PACKED, bias, 3, p,
+                                         np.random.default_rng(seed)), w)
 
-    zero_grads([x])
+    zero_grads([q, k, v])
     backward(loss())
-    assert np.all(x.grad.swapaxes(1, 2)[0, 3] == 0.0)
-    assert np.all(x.grad.swapaxes(1, 2)[1, 1:3] == 0.0)
-    assert_grad_close(x.grad, fd_grad(loss, x))
+    for t in (q, k, v):
+        assert_grad_close(t.grad, fd_grad(loss, t))
+    assert np.all(k.grad[1] == 0.0) and np.all(v.grad[1] == 0.0)
+    return q, k, v
+
+
+def test_attention_grads_match_fd_with_a_masked_row(weighted_sum):
+    _attention_grads_match_fd(weighted_sum, 16, 0.0)
+
+
+def test_attention_dropout_grads_match_fd_with_a_fixed_rng(weighted_sum):
+    q, k, v = _attention_grads_match_fd(weighted_sum, 17, 0.4)
+    # the weights' mask is dropout's draw: rng.random([B, H, L, L]) >= p
+    mask = _key_mask(PACKED, (2, 4), MASKED_KEY)
+    keep = (np.random.default_rng(17).random((2, 3, 4, 4)) >= 0.4) / 0.6
+    assert 0 < keep.astype(bool).sum() < keep.size
+    ref = attention_reference(q.data, k.data, v.data, PACKED, mask, 3, keep)
+    out = ag.attention(q, k, v, PACKED, _bias(mask), 3, 0.4, np.random.default_rng(17))
+    assert np.allclose(out.data, ref, rtol=1e-12, atol=1e-12)
+
+
+def test_attention_rejects_unequal_rows_and_indivisible_heads_and_bad_rates():
+    q = Tensor(np.zeros((5, 6)))
+    bias = _bias(_key_mask(PACKED, (2, 4)))
+    with pytest.raises(ShapeError, match=r"\(5, 6\).*\(5, 4\)"):
+        ag.attention(q, Tensor(np.zeros((5, 4))), q, PACKED, bias, 2)
+    with pytest.raises(ShapeError, match="4 heads"):
+        ag.attention(q, q, q, PACKED, bias, 4)
+    with pytest.raises(ValueError, match="rate"):
+        ag.attention(q, q, q, PACKED, bias, 3, 1.0, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="rng"):
+        ag.attention(q, q, q, PACKED, bias, 3, 0.1)
 
 
 # -- softmax cross entropy ----------------------------------------------------------
@@ -327,21 +355,6 @@ def test_cross_entropy_grad_matches_fd():
     assert_grad_close(logits.grad, fd_grad(loss, logits))
 
 
-def test_softmax_rows_and_grad(weighted_sum):
-    rng = np.random.default_rng(7)
-    x = Tensor(rng.normal(size=(3, 5)), requires_grad=True)
-    y = ag.softmax(x)
-    assert np.allclose(y.data.sum(axis=-1), 1.0)
-    w = rng.normal(size=(3, 5))
-
-    def loss():
-        return weighted_sum(ag.softmax(x), w)
-
-    zero_grads([x])
-    backward(loss())
-    assert_grad_close(x.grad, fd_grad(loss, x))
-
-
 # -- backward driver ------------------------------------------------------------------
 
 
@@ -366,7 +379,7 @@ def test_backward_keeps_gradients_on_leaves_only(weighted_sum):
     rng = np.random.default_rng(12)
     x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
     w = Tensor(rng.normal(size=(4, 2)), requires_grad=True)
-    hidden = ag.gelu(ag.matmul(x, w))
+    hidden = ag.gelu(ag.linear(x, w, Tensor(np.zeros(2))))
     loss = weighted_sum(hidden, rng.normal(size=(3, 2)))
     backward(loss)
     assert hidden.grad is None and loss.grad is None
@@ -377,7 +390,7 @@ def test_backward_keeps_gradients_on_leaves_only(weighted_sum):
 def test_add_reduces_no_gradient_for_a_constant_operand(weighted_sum, monkeypatch):
     rng = np.random.default_rng(13)
     scores = Tensor(rng.normal(size=(2, 3, 4, 4)), requires_grad=True)
-    bias = Tensor(rng.normal(size=(2, 1, 1, 4)))  # e.g. an attention mask bias
+    bias = Tensor(rng.normal(size=(2, 1, 1, 4)))  # a constant, broadcast operand
     reduced = []
     real = ag._unbroadcast
 
@@ -395,17 +408,18 @@ def test_add_reduces_no_gradient_for_a_constant_operand(weighted_sum, monkeypatc
 def test_backward_rejects_non_scalar():
     x = Tensor(np.ones(3), requires_grad=True)
     with pytest.raises(ValueError, match="scalar"):
-        backward(x * 2.0)
+        backward(x + x)
 
 
 def test_shape_ops_grad_matches_fd(weighted_sum):
     rng = np.random.default_rng(9)
     x = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
-    w = rng.normal(size=(4, 6))
+    w = Tensor(rng.normal(size=(4, 6)))
+    b = Tensor(rng.normal(size=6))
 
     def loss():
-        t = x.swapaxes(0, 1).reshape(6, 4)
-        return weighted_sum(ag.matmul(t, Tensor(w)) * 0.5, np.ones((6, 6)))
+        t = x.swapaxes(0, 1)
+        return weighted_sum(ag.linear(t, w, b), np.ones((3, 2, 6)))
 
     zero_grads([x])
     backward(loss())
@@ -431,7 +445,7 @@ def test_forward_and_grad_determinism():
         rng = np.random.default_rng(11)
         x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
         w = Tensor(rng.normal(size=(4, 4)), requires_grad=True)
-        loss = ag.softmax_cross_entropy(ag.matmul(x, w), [0, 1, 2])
+        loss = ag.softmax_cross_entropy(ag.linear(x, w, Tensor(np.zeros(4))), [0, 1, 2])
         backward(loss)
         return loss.data.tobytes(), x.grad.tobytes(), w.grad.tobytes()
 
@@ -515,8 +529,8 @@ def test_detached_shares_arrays_and_builds_no_graph():
 
     def forward(q):
         x = ag.embedding_gather(q["emb"], np.array([[0, 4, 4], [2, 1, 0]]))
-        h = ag.layer_norm(ag.gelu(ag.matmul(x, q["w"]) + q["b"]), q["g"], q["b"])
-        return ag.softmax(h.swapaxes(0, 1) * 0.5, axis=-1)
+        h = ag.layer_norm(ag.gelu(ag.linear(x, q["w"], q["b"])), q["g"], q["b"])
+        return ag.gelu(h.swapaxes(0, 1))
 
     out = forward(free)
     assert not out.requires_grad

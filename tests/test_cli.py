@@ -538,26 +538,37 @@ def test_ablate_exits_with_the_first_failed_variants_error(pipeline, tmp_path, v
     assert not (tmp_path / "ab" / "mvlm_loss_series.tsv").exists()
 
 
-@pytest.mark.parametrize("command,flag,code", [
-    ("pretrain", "--corpus", 2), ("finetune", "--labels", 2),
-    ("finetune", "--init", 2), ("finetune", "--out", 1),
+NOT_UTF8 = bytes(range(128, 256)) * 2  # no line of it decodes as UTF-8
+
+
+@pytest.mark.parametrize("command,flag,code,content", [
+    pytest.param("pretrain", "--corpus", 2, None, id="pretrain---corpus-2"),
+    pytest.param("finetune", "--labels", 2, None, id="finetune---labels-2"),
+    pytest.param("finetune", "--init", 2, None, id="finetune---init-2"),
+    pytest.param("finetune", "--out", 1, b"not a directory\n", id="finetune---out-1"),
+    pytest.param("pretrain", "--corpus", 2, NOT_UTF8, id="pretrain---corpus-not-utf8"),
+    pytest.param("finetune", "--labels", 2, NOT_UTF8, id="finetune---labels-not-utf8"),
+    pytest.param("pretrain", "--config", 1, NOT_UTF8, id="pretrain---config-not-utf8"),
 ])
 def test_a_path_that_cannot_be_opened_is_one_line_not_a_traceback(
-        pipeline, tmp_path, capsys, command, flag, code):
+        pipeline, tmp_path, capsys, command, flag, code, content):
     _, out, _ = pipeline
     run_dir = tmp_path / "run"
     args = command_args(out, command, run_dir)
-    if flag == "--out":  # an existing file where the output directory goes
-        bad = run_dir
-        bad.write_text("not a directory\n")
-    else:  # a missing input: a data error, found before any output exists
-        bad = tmp_path / "missing"
+    if flag not in args:
+        args += [flag, ""]
+    # an existing file where the output directory goes, an input that is
+    # not UTF-8 text, or (no content) a missing input
+    bad = run_dir if flag == "--out" else tmp_path / "input"
+    if content is not None:
+        bad.write_bytes(content)
     args[args.index(flag) + 1] = str(bad)
     assert main(args) == code
     last = capsys.readouterr().err.rstrip().splitlines()[-1]
-    assert last.startswith("data error: " if code == 2 else "error: ")
+    prefix = {"--out": "error: ", "--config": "config error: "}.get(flag, "data error: ")
+    assert last.startswith(prefix)
     assert str(bad) in last
-    if flag != "--out":
+    if flag != "--out":  # found before any output exists
         assert not run_dir.exists()
 
 

@@ -76,6 +76,23 @@ def exhaustive_best_span(start_logits, end_logits, max_len, valid):
     return candidates[0][1], candidates[0][2]
 
 
+def loop_best_span(start_logits, end_logits, max_len, valid):
+    """The scan `extract_span` replaced: every valid pair in row-major order,
+    kept when its score is strictly above the best so far."""
+    best, best_score = None, -np.inf
+    n = len(start_logits)
+    for i in range(n):
+        if not valid[i]:
+            continue
+        for j in range(i, min(i + max_len, n)):
+            if not valid[j]:
+                continue
+            score = float(start_logits[i]) + float(end_logits[j])
+            if score > best_score:
+                best_score, best = score, (i, j)
+    return best
+
+
 # -- decode_bies ----------------------------------------------------------------
 
 
@@ -230,6 +247,32 @@ def test_extract_span_ties_break_smallest_start_then_end():
             valid[0] = True
         got = extract_span(s, e, max_answer_len=4, valid=valid)
         assert got == exhaustive_best_span(s, e, 4, valid)
+
+
+def test_extract_span_matches_the_pairwise_scan_on_random_windows():
+    rng = np.random.default_rng(4)
+    specials = np.array([np.nan, np.inf, -np.inf, 1e30, -1e30, 0.0, -0.0])
+    for trial in range(2000):
+        n = int(rng.integers(1, 14))
+        kind = trial % 4
+        if kind == 0:  # many exact ties
+            s, e = (rng.integers(0, 3, size=n).astype(float) for _ in range(2))
+        elif kind == 1:  # float32 logits, as the model gives them
+            s, e = (rng.normal(size=n).astype(np.float32) for _ in range(2))
+        else:  # NaN, infinities and huge values among normal logits
+            s, e = rng.normal(size=n), rng.normal(size=n)
+            for t in (s, e):
+                hit = rng.random(n) < 0.3
+                t[hit] = rng.choice(specials, size=int(hit.sum()))
+        valid = rng.random(n) > 0.25
+        max_len = int(rng.integers(0, 6))
+        want = loop_best_span(s, e, max_len, valid)
+        with np.errstate(invalid="ignore"):  # inf + -inf is a NaN score
+            if want is None:
+                with pytest.raises(ValueError):
+                    extract_span(s, e, max_len, valid=valid)
+            else:
+                assert extract_span(s, e, max_len, valid=valid) == want, (s, e, valid)
 
 
 def test_extract_span_no_valid_pair():
