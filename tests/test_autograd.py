@@ -305,6 +305,139 @@ def test_attention_dropout_grads_match_fd_with_a_fixed_rng(weighted_sum):
     assert np.allclose(out.data, ref, rtol=1e-12, atol=1e-12)
 
 
+# The steps that were separate ops before attention owned them (the two
+# products, the softmax, the split into heads and the merge back), each
+# checked through attention.
+
+# one batch row of four real tokens
+FULL = (np.zeros(4, dtype=int), np.arange(4))
+
+
+def _one_hot_queries(index, heads, c=100.0):
+    """Rows whose every head of width 4 is `c` times the one-hot vector of
+    the row's position (of 4): with q = k, each query's own key scores
+    c^2 / 2 and every other real key 0, so the weights are exactly the
+    identity."""
+    return np.tile(c * np.eye(4)[index[1]], heads)
+
+
+def test_matmul_identity():
+    # identity weights: I @ V = V, to the bit
+    v = np.arange(16.0).reshape(4, 4)
+    qk = Tensor(_one_hot_queries(FULL, 1))
+    bias = _bias(_key_mask(FULL, (1, 4)))
+    assert np.array_equal(ag.attention(qk, qk, Tensor(v), FULL, bias, 1).data, v)
+    # and V = I returns the weights, P @ I = P
+    rng = np.random.default_rng(8)
+    q, k = rng.normal(size=(4, 4)), rng.normal(size=(4, 4))
+    s = q @ k.T / 2.0
+    p = np.exp(s - s.max(axis=1, keepdims=True))
+    p /= p.sum(axis=1, keepdims=True)
+    out = ag.attention(Tensor(q), Tensor(k), Tensor(np.eye(4)), FULL, bias, 1)
+    assert np.allclose(out.data, p, rtol=1e-12, atol=1e-15)
+
+
+def test_matmul_hand_product():
+    # width 1, one head, so the scale is 1: query 0 scores the keys 0 and
+    # ln 3, weights 1/4 and 3/4; query 1 scores both 0, weights 1/2 each
+    index = (np.zeros(2, dtype=int), np.arange(2))
+    q = Tensor([[1.0], [0.0]])
+    k = Tensor([[0.0], [np.log(3.0)]])
+    v = Tensor([[4.0], [8.0]])
+    out = ag.attention(q, k, v, index, np.zeros((1, 1, 1, 2)), 1)
+    assert np.allclose(out.data, [[7.0], [6.0]], rtol=1e-14, atol=0.0)
+
+
+def _fd_check_qkv(weighted_sum, seed, index, seq_len, width, heads):
+    rng = np.random.default_rng(seed)
+    n = len(index[0])
+    q, k, v = (Tensor(rng.normal(size=(n, width)), requires_grad=True) for _ in range(3))
+    bias = _bias(_key_mask(index, (int(index[0].max()) + 1, seq_len)))
+    w = rng.normal(size=(n, width))
+
+    def loss():
+        return weighted_sum(ag.attention(q, k, v, index, bias, heads), w)
+
+    zero_grads([q, k, v])
+    backward(loss())
+    for t in (q, k, v):
+        assert_grad_close(t.grad, fd_grad(loss, t))
+
+
+def test_matmul_grad_matches_fd(weighted_sum):
+    # one batch row, one head: both products are plain 2-D ones
+    _fd_check_qkv(weighted_sum, 0, FULL, 4, 3, 1)
+
+
+def test_matmul_batched_grad_matches_fd(weighted_sum):
+    # three full batch rows of two heads: the products run over [B, H]
+    index = (np.repeat(np.arange(3), 4), np.tile(np.arange(4), 3))
+    _fd_check_qkv(weighted_sum, 1, index, 4, 4, 2)
+
+
+def test_split_heads_matches_scatter_reshape_swapaxes_and_grad_matches_fd(weighted_sum):
+    rng = np.random.default_rng(13)
+    q, k, v = (rng.normal(size=(5, 6)) for _ in range(3))
+    bias = _bias(_key_mask(PACKED, (2, 4)))
+    out = ag.attention(Tensor(q), Tensor(k), Tensor(v), PACKED, bias, 3).data
+    # head h reads columns [2h, 2h + 2) of its own batch row's tokens only:
+    # three heads are three one-head attentions over those columns
+    for h in range(3):
+        cols = slice(2 * h, 2 * h + 2)
+        one = ag.attention(Tensor(q[:, cols]), Tensor(k[:, cols]), Tensor(v[:, cols]),
+                           PACKED, bias, 1)
+        assert np.allclose(out[:, cols], one.data, rtol=1e-12, atol=1e-12)
+    other = [t.copy() for t in (q, k, v)]
+    for t in other:
+        t[3:] = rng.normal(size=(2, 6))
+    changed = ag.attention(*(Tensor(t) for t in other), PACKED, bias, 3).data
+    assert np.array_equal(changed[:3], out[:3])
+    _fd_check_qkv(weighted_sum, 13, PACKED, 4, 6, 3)
+
+
+def test_merge_heads_inverts_split_heads_and_grad_matches_fd(weighted_sum):
+    # identity weights in both heads of both batch rows, pads between: the
+    # context is v itself, so merging back to rows inverts the split
+    rng = np.random.default_rng(14)
+    qk = Tensor(_one_hot_queries(PACKED, 2))
+    v = Tensor(rng.normal(size=(5, 8)), requires_grad=True)
+    bias = _bias(_key_mask(PACKED, (2, 4)))
+    out = ag.attention(qk, qk, v, PACKED, bias, 2)
+    assert np.array_equal(out.data, v.data)
+    w = rng.normal(size=(5, 8))
+
+    def loss():
+        return weighted_sum(ag.attention(qk, qk, v, PACKED, bias, 2), w)
+
+    zero_grads([v])
+    backward(loss())
+    assert np.array_equal(v.grad, w)
+    assert_grad_close(v.grad, fd_grad(loss, v))
+
+
+def test_softmax_rows_and_grad(weighted_sum):
+    # v = I at each token's position makes the context the weight rows
+    rng = np.random.default_rng(7)
+    q = Tensor(rng.normal(size=(5, 4)), requires_grad=True)
+    k = Tensor(rng.normal(size=(5, 4)), requires_grad=True)
+    v = Tensor(np.eye(4)[PACKED[1]])
+    mask = _key_mask(PACKED, (2, 4), MASKED_KEY)
+    out = ag.attention(q, k, v, PACKED, _bias(mask), 1).data
+    assert np.allclose(out.sum(axis=1), 1.0, rtol=1e-12, atol=0.0)
+    assert np.all(out[PACKED[0] == 0][:, [1, 3]] == 0.0)
+    assert np.all(out[PACKED[0] == 1][:, 1:3] == 0.0)
+    assert np.all(out[:3][:, [0, 2]] > 0.0) and np.all(out[3:][:, [0, 3]] > 0.0)
+    w = rng.normal(size=(5, 4))
+
+    def loss():
+        return weighted_sum(ag.attention(q, k, v, PACKED, _bias(mask), 1), w)
+
+    zero_grads([q, k])
+    backward(loss())
+    assert_grad_close(q.grad, fd_grad(loss, q))
+    assert_grad_close(k.grad, fd_grad(loss, k))
+
+
 def test_attention_rejects_unequal_rows_and_indivisible_heads_and_bad_rates():
     q = Tensor(np.zeros((5, 6)))
     bias = _bias(_key_mask(PACKED, (2, 4)))
