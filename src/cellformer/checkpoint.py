@@ -8,6 +8,7 @@ result reproduces the file byte for byte.
 
 from __future__ import annotations
 
+import copy
 import json
 import os
 from dataclasses import asdict, dataclass
@@ -47,7 +48,7 @@ class Checkpoint:
     arrays: dict[str, np.ndarray]  # parameters only, by name
     vocab_tokens: list[str]
     step: int
-    rng_state: dict
+    rng_state: Optional[dict] = None  # never read: runs derive every stream from the seed
     adam: Optional[AdamState] = None
     precision: str = "float64"
 
@@ -57,6 +58,22 @@ class Checkpoint:
         dtype = PRECISIONS[self.precision]
         return {name: Tensor(self.arrays[name].astype(dtype), requires_grad=True)
                 for name in sorted(self.arrays)}
+
+
+def snapshot(model_config: ModelConfig, params: dict[str, Tensor],
+             vocab_tokens: list[str], step: int,
+             adam: Optional[AdamState] = None) -> Checkpoint:
+    """A checkpoint of live parameters (and Adam state, if given) at their
+    own precision, over copies: training on leaves it as it is."""
+    (dtype,) = {p.data.dtype for p in params.values()}
+    return Checkpoint(
+        model_config=model_config,
+        arrays={name: p.data.copy() for name, p in params.items()},
+        vocab_tokens=list(vocab_tokens),
+        step=step,
+        adam=copy.deepcopy(adam),
+        precision=dtype.name,
+    )
 
 
 def save_checkpoint(path, ckpt: Checkpoint) -> None:

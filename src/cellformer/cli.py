@@ -19,9 +19,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
-import numpy as np
-
-from .checkpoint import Checkpoint, CheckpointError, load_checkpoint, save_checkpoint
+from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint, snapshot
 from .config import ConfigError, apply_settings, config_lines, parse_kv_file
 from .dataio import (
     DataError, MetricsLog, read_cell_jsonl, read_tagging_examples, write_cell_jsonl,
@@ -240,17 +238,8 @@ def cmd_finetune(args) -> int:
     fields.update(report)
     write_report(out / "report.txt", fields)
 
-    ckpt = Checkpoint(
-        model_config=model_cfg,
-        arrays={k: v.data for k, v in params.items()},
-        vocab_tokens=vocab.id_to_token,
-        step=train_cfg.steps,
-        rng_state=np.random.Generator(np.random.PCG64(train_cfg.seed))
-        .bit_generator.state,
-        adam=None,
-        precision=train_cfg.precision,
-    )
-    save_checkpoint(out / "checkpoint.ckpt", ckpt)
+    save_checkpoint(out / "checkpoint.ckpt",
+                    snapshot(model_cfg, params, vocab.id_to_token, train_cfg.steps))
 
     for key, value in report.items():
         print(f"{key}: {value:.4f}")
@@ -396,9 +385,11 @@ def _run_variant(variant, docs, vocab, model_cfg, pt_cfg, ft_cfg, pre_cfg,
 
     t0 = time.time()
     with MetricsLog(vdir / "finetune_metrics.jsonl") as mlog:
-        _, report = finetune("tagging", train_set, eval_set, vocab, vcfg,
-                             ft_cfg, init=init, metrics_log=mlog)
+        params, report = finetune("tagging", train_set, eval_set, vocab, vcfg,
+                                  ft_cfg, init=init, metrics_log=mlog)
     fields["finetune_seconds"] = time.time() - t0
+    save_checkpoint(vdir / "finetune.ckpt",
+                    snapshot(vcfg, params, vocab.id_to_token, ft_cfg.steps))
     fields.update(report)
     write_report(vdir / "report.txt", fields)
     return {**report, "status": "ok"}, history

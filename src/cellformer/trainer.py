@@ -19,7 +19,7 @@ import numpy as np
 from . import autograd as ag
 from . import model as M
 from .autograd import PRECISIONS, Tensor, backward, zero_grads
-from .checkpoint import Checkpoint
+from .checkpoint import Checkpoint, snapshot
 from .documents import RawDocument, encode_document, stack_batch
 from .optim import adam_step, init_adam
 from .pretrain import (
@@ -171,15 +171,12 @@ class Pretrainer:
                                             dtype=PRECISIONS[train_cfg.precision])
             self.adam = init_adam(self.params)
             self.start_step = 0
-            self.rng = derive_rng(train_cfg.seed, "trainer")
         else:
             # copies: resuming leaves the checkpoint as it is
             self.params = resume.parameters()
             self.adam = (init_adam(self.params) if resume.adam is None
                          else copy.deepcopy(resume.adam))
             self.start_step = resume.step
-            self.rng = np.random.Generator(np.random.PCG64())
-            self.rng.bit_generator.state = resume.rng_state
 
     def _batch_examples(self, step: int):
         picks = self.sampler.batch(step, self.train_cfg.batch_size)
@@ -266,12 +263,5 @@ class Pretrainer:
 
     def to_checkpoint(self, step: Optional[int] = None) -> Checkpoint:
         """A snapshot over copies: training on leaves it as it is."""
-        return Checkpoint(
-            model_config=self.model_cfg,
-            arrays={k: v.data.copy() for k, v in self.params.items()},
-            vocab_tokens=list(self.vocab.id_to_token),
-            step=self.train_cfg.steps if step is None else step,
-            rng_state=self.rng.bit_generator.state,
-            adam=copy.deepcopy(self.adam),
-            precision=self.train_cfg.precision,
-        )
+        return snapshot(self.model_cfg, self.params, self.vocab.id_to_token,
+                        self.train_cfg.steps if step is None else step, self.adam)

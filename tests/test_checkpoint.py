@@ -105,6 +105,21 @@ def test_loaded_fields_round_trip(tmp_path):
     assert r1.random(3).tolist() == r2.random(3).tolist()
 
 
+def test_a_checkpoint_without_rng_state_saves_null(tmp_path):
+    ck = make_checkpoint()
+    ck = Checkpoint(model_config=ck.model_config, arrays=ck.arrays,
+                    vocab_tokens=ck.vocab_tokens, step=ck.step)
+    assert ck.rng_state is None
+    p1, p2 = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
+    save_checkpoint(p1, ck)
+    _, length, rest = p1.read_bytes().split(b"\n", 2)
+    assert json.loads(rest[:int(length)])["rng_state"] is None
+    loaded = load_checkpoint(p1)
+    assert loaded.rng_state is None
+    save_checkpoint(p2, loaded)
+    assert p1.read_bytes() == p2.read_bytes()
+
+
 def test_truncated_file_raises_truncation_error(tmp_path):
     path = tmp_path / "t.ckpt"
     save_checkpoint(path, make_checkpoint())

@@ -596,6 +596,8 @@ def test_finetune_report_and_init_variants(pipeline, tmp_path, capsys,
     # metrics echoed to 4 decimals
     f1_line = [l for l in report.splitlines() if l.startswith("f1=")][0]
     assert len(f1_line.split("=")[1].split(".")[1]) == 4
+    # every stream is derived from the seed, so no RNG state is saved
+    assert load_checkpoint(ft1 / "checkpoint.ckpt").rng_state is None
 
     # the first of the BLAS thread variables that is set names the count
     monkeypatch.setenv("OMP_NUM_THREADS", "2")
@@ -684,7 +686,8 @@ def test_ablate_variant_does_not_depend_on_its_neighbours(pipeline, tmp_path):
             "--batch-size", "4", "--seed", "11", "--eval-every", "0",
         ] + TINY_MODEL) == 0
         runs[name] = ab / "full"
-    for name in ("pretrain_metrics.jsonl", "pretrain.ckpt", "finetune_metrics.jsonl"):
+    for name in ("pretrain_metrics.jsonl", "pretrain.ckpt", "finetune_metrics.jsonl",
+                 "finetune.ckpt"):
         assert (runs["alone"] / name).read_bytes() == (runs["matrix"] / name).read_bytes(), name
     reports = [
         [l for l in (runs[r] / "report.txt").read_text().splitlines()

@@ -11,7 +11,7 @@ import pytest
 from cellformer import autograd as ag
 from cellformer import model as M
 from cellformer.autograd import Tensor, backward
-from cellformer.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
+from cellformer.checkpoint import load_checkpoint, save_checkpoint, snapshot
 from cellformer.dataio import DataError
 from cellformer.documents import encode_document, stack_batch
 from cellformer.model import MASK_NEG, ModelConfig
@@ -295,10 +295,7 @@ def test_predictions_do_not_depend_on_what_ran_before(vocab, model_cfg, tmp_path
     params, _ = finetune("tagging", train, eval_, vocab, model_cfg,
                          TrainConfig(steps=1, batch_size=2))
     path = tmp_path / "tag.ckpt"
-    save_checkpoint(path, Checkpoint(
-        model_config=model_cfg, arrays={k: v.data for k, v in params.items()},
-        vocab_tokens=list(vocab.id_to_token), step=1, rng_state={},
-        precision="float32"))
+    save_checkpoint(path, snapshot(model_cfg, params, vocab.id_to_token, 1))
     seqs = [s for s, _ in tagging_items(eval_, vocab, model_cfg)]
 
     def tag_logits():

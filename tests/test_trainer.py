@@ -288,6 +288,8 @@ def test_checkpoint_is_a_snapshot_that_training_on_leaves_alone(tmp_path):
         (tmp_path / "before.ckpt").read_bytes()
     assert ck.adam.step_count == 3
     assert t.adam.step_count == 9
+    # every stream is derived from the seed, so no RNG state is saved
+    assert ck.rng_state is None and ck.precision == "float64"
 
 
 @pytest.mark.parametrize("saved_cpc", [True, False], ids=["cpc_to_off", "mlm_to_on"])
