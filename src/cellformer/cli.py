@@ -231,11 +231,8 @@ def cmd_finetune(args) -> int:
                                   train_cfg, init=init, metrics_log=mlog)
 
     fields = {"task": task, "init": args.init, "seed": train_cfg.seed,
-              "blas_threads": _blas_threads()}
-    for title, cfg in (("model", model_cfg), ("train", train_cfg)):
-        for f in sorted(dataclasses.fields(cfg), key=lambda f: f.name):
-            fields[f"{title}.{f.name}"] = getattr(cfg, f.name)
-    fields.update(report)
+              "blas_threads": _blas_threads(), **_settings_fields(model_cfg, train_cfg),
+              **report}
     write_report(out / "report.txt", fields)
 
     save_checkpoint(out / "checkpoint.ckpt",
@@ -363,6 +360,14 @@ def _one_blas_thread_per_worker():
             os.environ.pop(var, None)
 
 
+def _settings_fields(model_cfg: ModelConfig, train_cfg: TrainConfig) -> dict:
+    """The `model.*` and `train.*` lines of a fine-tuning report: every
+    setting the model was built and fine-tuned with."""
+    return {f"{title}.{f.name}": getattr(cfg, f.name)
+            for title, cfg in (("model", model_cfg), ("train", train_cfg))
+            for f in sorted(dataclasses.fields(cfg), key=lambda f: f.name)}
+
+
 def _run_variant(variant, docs, vocab, model_cfg, pt_cfg, ft_cfg, pre_cfg,
                  train_set, eval_set, vdir) -> tuple[dict, list | None]:
     """(result, per-step pre-training records or None)."""
@@ -371,7 +376,7 @@ def _run_variant(variant, docs, vocab, model_cfg, pt_cfg, ft_cfg, pre_cfg,
     init = None
     history = None
     fields = {"variant": variant, "seed": ft_cfg.seed,
-              "blas_threads": _blas_threads()}
+              "blas_threads": _blas_threads(), **_settings_fields(vcfg, ft_cfg)}
     if variant != "no_pretrain":
         t0 = time.time()
         trainer = Pretrainer(docs, vocab, vcfg, pt_cfg, pre_cfg,

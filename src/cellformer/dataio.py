@@ -185,12 +185,14 @@ def _tagging_example(doc: RawDocument, record: dict) -> TaggingExample:
 
 def _qa_example(doc: RawDocument, record: dict) -> QaExample:
     question, answers, span = record["question"], record["answers"], record["span"]
-    if not (isinstance(answers, list) and all(isinstance(a, str) for a in answers)):
-        raise ValueError(f"'answers' must be a list of strings, got {answers!r}")
+    if not isinstance(question, str):
+        raise ValueError(f"'question' must be a string, got {question!r}")
+    if not (isinstance(answers, list) and answers and all(isinstance(a, str) for a in answers)):
+        raise ValueError(f"'answers' must be a non-empty list of strings, got {answers!r}")
     if span is not None and not (isinstance(span, list) and len(span) == 2
                                  and all(type(w) is int for w in span) and 0 <= span[0] <= span[1]):
         raise ValueError(f"'span' must be null or [first word, last word], got {span!r}")
-    return QaExample(doc=doc, question=str(question), answers=answers,
+    return QaExample(doc=doc, question=question, answers=answers,
                      span=None if span is None else tuple(span))
 
 

@@ -18,12 +18,12 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from itertools import islice
-from typing import Iterator, Optional, Sequence
+from itertools import chain, islice
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .vocab import CLS_ID, PAD_ID, SEP_ID, Vocab, tokenize
+from .vocab import CLS_ID, PAD_ID, SEP_ID, Vocab, tokenize_words
 
 COORD_MAX = 1000
 
@@ -99,21 +99,18 @@ class RawDocument:
 def grid_boxes(boxes: Sequence[Sequence[float]], page_w: float,
                page_h: float) -> np.ndarray:
     """Checked pixel boxes -> int64 [N, 4] boxes on the 0..COORD_MAX grid:
-    floor(v * COORD_MAX / page_dim), clipped to [0, COORD_MAX]; a value at
-    or past the page dimension is COORD_MAX, which float rounding of the
-    quotient would miss on some fractional pages. Integral values on an
-    integral page take an exact integer floor, which keeps boundary pixels
-    from drifting across a unit through float rounding."""
+    floor(v * COORD_MAX / page_dim), at most COORD_MAX; a value at or past
+    the page dimension is COORD_MAX, which float rounding of the quotient
+    would miss on some fractional pages. Integral values on an integral
+    page take their exact integer floor: below 2**53, v * COORD_MAX is
+    exact, and the rounded quotient of two such integers never reaches the
+    next integer."""
     px = np.asarray(boxes, dtype=np.float64).reshape(-1, 4)
     dims = np.array([page_w, page_h, page_w, page_h], dtype=np.float64)
     with np.errstate(over="ignore"):  # huge values scale to inf: the edge
-        scaled = px * COORD_MAX
-        # below 2**53 the float floor division of integers is exact
-        exact = (px % 1 == 0) & (dims % 1 == 0) & (scaled < 2.0**53)
-        grid = np.where(exact, np.where(exact, scaled, 0) // dims,
-                        np.floor(scaled / dims))
-    grid = np.where(px >= dims, COORD_MAX, grid)
-    return np.clip(grid, 0, COORD_MAX).astype(np.int64)
+        grid = np.floor(px * COORD_MAX / dims)
+    grid[px >= dims] = COORD_MAX
+    return np.minimum(grid, COORD_MAX).astype(np.int64)
 
 
 @dataclass
@@ -127,30 +124,88 @@ class Cell:
     source_index: int
 
 
+def _grid_layout(doc: RawDocument, n_words: np.ndarray,
+                 word_level: bool) -> tuple[np.ndarray, Optional[np.ndarray]]:
+    """Grid boxes of the document's cells [C, 4], in source order, and in
+    word layout those of its words [W, 4], in source order too: the given
+    word boxes, or an equal-width split of the cell box where a cell has
+    none. In cell layout no word box is read or made (None)."""
+    cells = doc.cells
+    given = [c.word_boxes for c in cells if c.word_boxes is not None] if word_level else []
+    count = len(cells) + sum(map(len, given))
+    pixels = np.fromiter(chain.from_iterable(chain((c.box for c in cells), *given)),
+                         np.float64, 4 * count)
+    grid = grid_boxes(pixels, doc.page_width, doc.page_height)
+    cell_grid = grid[:len(cells)]
+    if not word_level:
+        return cell_grid, None
+    word_cell = np.repeat(np.arange(len(cells)), n_words)
+    j = np.arange(len(word_cell)) - np.repeat(np.cumsum(n_words) - n_words, n_words)
+    n = n_words[word_cell]
+    x0, y0, x1, y1 = cell_grid[word_cell].T
+    word_grid = np.stack([x0 + (x1 - x0) * j // n, y0,
+                          x0 + (x1 - x0) * (j + 1) // n, y1], axis=1)
+    has_given = np.fromiter((c.word_boxes is not None for c in cells), bool, len(cells))
+    word_grid[has_given[word_cell]] = grid[len(cells):]
+    return cell_grid, word_grid
+
+
 def normalize_document(doc: RawDocument) -> list[Cell]:
     """The document's cells on the grid, in source order. A cell without
     word boxes splits its grid box into equal-width word boxes."""
-    given = [wb for raw in doc.cells for wb in raw.word_boxes or ()]
-    grid = grid_boxes([raw.box for raw in doc.cells] + given,
-                      doc.page_width, doc.page_height).tolist()
-    word_grid = iter(grid[len(doc.cells):])
-    cells = []
-    for i, (raw, (x0, y0, x1, y1)) in enumerate(zip(doc.cells, grid)):
-        words = tuple(raw.text.split())
-        n = len(words)
-        if raw.word_boxes is not None:
-            word_boxes = tuple(tuple(next(word_grid)) for _ in words)
-        else:
-            word_boxes = tuple((x0 + (x1 - x0) * j // n, y0,
-                                x0 + (x1 - x0) * (j + 1) // n, y1) for j in range(n))
-        cells.append(Cell(words, (x0, y0, x1, y1), word_boxes, i))
-    return cells
+    words = [tuple(raw.text.split()) for raw in doc.cells]
+    cell_grid, word_grid = _grid_layout(doc, np.array([len(w) for w in words]), True)
+    word_boxes = iter(map(tuple, word_grid.tolist()))
+    return [Cell(ws, tuple(box), tuple(islice(word_boxes, len(ws))), i)
+            for i, (ws, box) in enumerate(zip(words, cell_grid.tolist()))]
 
 
 def serialize_cells(cells: list[Cell]) -> list[Cell]:
     """Reading order: stable sort by (y0, x0, source position) of the
     grid cell box."""
     return sorted(cells, key=lambda c: (c.box[1], c.box[0], c.source_index))
+
+
+class DocumentTokens(NamedTuple):
+    """A document's token stream in reading order (`serialize_cells`):
+    per token its id, its cell's and its word's index in reading order and
+    its grid box, plus the grid box of every cell, in reading order, and
+    the document's word count."""
+
+    ids: np.ndarray
+    cell_index: np.ndarray
+    word_index: np.ndarray
+    boxes: np.ndarray
+    cell_boxes: np.ndarray
+    n_words: int
+
+
+def document_tokens(doc: RawDocument, vocab: Vocab, mode: str,
+                    limit: Optional[int] = None) -> DocumentTokens:
+    """The first `limit` tokens of `doc` (all of them when None), in one
+    array pass: the boxes the layout mode reads go onto the grid, one
+    lexsort orders the cells and per-word piece counts spread cell and word
+    indices over the tokens. Each token's box is its cell's in cell mode
+    and its word's in word mode."""
+    check_layout_mode(mode)
+    texts = [raw.text.split() for raw in doc.cells]
+    n_words = np.fromiter(map(len, texts), np.int64, len(texts))
+    cell_grid, word_grid = _grid_layout(doc, n_words, mode == WORD_LEVEL)
+    order = np.lexsort((np.arange(len(texts)), cell_grid[:, 0], cell_grid[:, 1]))
+    # every word has a piece, so the first `limit` words hold the first
+    # `limit` tokens
+    words = islice(chain.from_iterable(map(texts.__getitem__, order.tolist())), limit)
+    ids, pieces = tokenize_words(words, vocab)
+    word_index = np.repeat(np.arange(len(pieces)), pieces)[:limit]
+    ordered_n_words = n_words[order]
+    cell_index = np.repeat(np.arange(len(texts)), ordered_n_words)[word_index]
+    if word_grid is None:
+        boxes = cell_grid[order[cell_index]]
+    else:  # source position of each word in reading order
+        shift = np.cumsum(n_words)[order] - np.cumsum(ordered_n_words)
+        boxes = word_grid[word_index + shift[cell_index]]
+    return DocumentTokens(np.array(ids[:limit], dtype=np.int64), cell_index, word_index,
+                          boxes, cell_grid[order], int(n_words.sum()))
 
 
 @dataclass
@@ -187,51 +242,23 @@ def stack_batch(items) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return token_ids, boxes, attn_mask
 
 
-def cell_tokens(cells: list[Cell], vocab: Vocab) -> Iterator[tuple[int, int, int]]:
-    """(token id, cell index, word index) of every token of the serialized
-    `cells`, in order."""
-    w = 0
-    for ci, cell in enumerate(cells):
-        for word in cell.words:
-            for piece in tokenize(word, vocab):
-                yield vocab.id(piece), ci, w
-            w += 1
-
-
-def token_boxes(cells: list[Cell], mode: str, cell_index: np.ndarray,
-                word_index: np.ndarray) -> np.ndarray:
-    """Grid box of each token: its cell's (by cell index) in cell mode, its
-    word's (by word index) in word mode."""
-    if mode == CELL_LEVEL:
-        table, index = [c.box for c in cells], cell_index
-    else:
-        table, index = [b for c in cells for b in c.word_boxes], word_index
-    return np.array(table, dtype=np.int64).reshape(-1, 4)[index]
-
-
 def encode_document(
     doc: RawDocument, vocab: Vocab, max_len: int, mode: str = CELL_LEVEL
 ) -> TokenizedSequence:
     """Serialize, tokenize, and window a document: [CLS] tokens [SEP],
     truncated at whole-token granularity, padded to `max_len`."""
-    check_layout_mode(mode)
     if max_len < 3:
         raise ValueError(f"max_len must be >= 3, got {max_len}")
 
-    cells = serialize_cells(normalize_document(doc))
-    # every cell has a word, so at least one token survives the cut
-    ids, cell_idx, word_idx = np.array(
-        list(islice(cell_tokens(cells, vocab), max_len - 2)), dtype=np.int64
-    ).T
-    n = len(ids)
+    toks = document_tokens(doc, vocab, mode, limit=max_len - 2)
+    n = len(toks.ids)
 
     token_ids = np.full(max_len, PAD_ID, dtype=np.int64)
-    token_ids[: n + 2] = [CLS_ID, *ids, SEP_ID]
+    token_ids[0], token_ids[1 : 1 + n], token_ids[1 + n] = CLS_ID, toks.ids, SEP_ID
     cell_index, word_index = np.full((2, max_len), -1, dtype=np.int64)
-    cell_index[1 : 1 + n], word_index[1 : 1 + n] = cell_idx, word_idx
-
+    cell_index[1 : 1 + n], word_index[1 : 1 + n] = toks.cell_index, toks.word_index
     boxes = np.zeros((max_len, 4), dtype=np.int64)
-    boxes[1 : 1 + n] = token_boxes(cells, mode, cell_idx, word_idx)
+    boxes[1 : 1 + n] = toks.boxes
 
     return TokenizedSequence(
         doc_id=doc.doc_id,
@@ -240,6 +267,6 @@ def encode_document(
         word_index=word_index,
         boxes=boxes,
         length=n + 2,
-        cell_boxes=np.array([c.box for c in cells], dtype=np.int64),
-        n_words=sum(len(c.words) for c in cells),
+        cell_boxes=toks.cell_boxes,
+        n_words=toks.n_words,
     )

@@ -25,6 +25,9 @@ class QaExample:
     answers: list[str]
     span: Optional[tuple[int, int]]  # inclusive word indices, serialized order
 
+    def __post_init__(self):
+        self.question = self.question.lower()  # as `RawCell` lowercases cell text
+
 
 @dataclass
 class ClsExample:

@@ -20,19 +20,18 @@ from . import model as M
 from .autograd import PRECISIONS, Tensor, backward, zero_grads
 from .checkpoint import Checkpoint
 from .dataio import DataError, read_cls_examples, read_qa_examples, read_tagging_examples
-from .documents import (
-    TokenizedSequence, cell_tokens, encode_document, normalize_document, serialize_cells,
-    stack_batch, token_boxes,
-)
+from .documents import TokenizedSequence, document_tokens, encode_document, stack_batch
 from .metrics import TAG_LABELS, TAG_TO_ID, anls, extract_span, word_f1
 from .model import MASK_NEG
 from .optim import adam_step, init_adam
 from .pretrain import IGNORE_LABEL, derive_rng, labeled_rows
 from .taskdata import QaExample
 from .trainer import IndexSampler, TrainConfig, lr_at
-from .vocab import CLS_ID, SEP_ID, PAD_ID, Vocab, detokenize, tokenize_to_ids
+from .vocab import CLS_ID, SEP_ID, PAD_ID, Vocab, detokenize, tokenize_words
 
 logger = logging.getLogger(__name__)
+
+_TAG_NAMES = np.array(TAG_LABELS)
 
 
 def prepare_finetune_params(
@@ -65,18 +64,21 @@ def _encode_docs(docs, vocab, model_cfg) -> list[TokenizedSequence]:
             for d in docs]
 
 
-def first_subwords(seq: TokenizedSequence) -> tuple[np.ndarray, np.ndarray]:
-    """(position, word index) of the first subword of each word in `seq`."""
-    words, positions = np.unique(seq.word_index, return_index=True)
-    return positions[words >= 0], words[words >= 0]
+def first_subwords(word_index: np.ndarray) -> np.ndarray:
+    """True at each word's first subword: a position whose word index is
+    a word's (not -1) and differs from the position before. A word's pieces
+    are adjacent, so this holds over a batch's packed rows as well."""
+    first = word_index >= 0
+    first[1:] &= word_index[1:] != word_index[:-1]
+    return first
 
 
 def tagging_token_labels(seq: TokenizedSequence, word_labels: Sequence[str]) -> np.ndarray:
     """Tag id at each word's first subword, ignore sentinel elsewhere; the
     reader has checked that `word_labels` holds one tag per word."""
     labels = np.full(len(seq.token_ids), IGNORE_LABEL, dtype=np.int64)
-    positions, words = first_subwords(seq)
-    labels[positions] = [TAG_TO_ID[word_labels[w]] for w in words]
+    first = first_subwords(seq.word_index)
+    labels[first] = [TAG_TO_ID[word_labels[w]] for w in seq.word_index[first].tolist()]
     return labels
 
 
@@ -96,16 +98,22 @@ def tagging_loss(params, model_cfg: M.ModelConfig, items, rng=None) -> Tensor:
     return ag.softmax_cross_entropy(M.head_tag(params, tagged), targets)
 
 
+def _chunk_logits(params, model_cfg: M.ModelConfig, seqs, batch_size: int, head):
+    """(chunk, logits of `head` at the chunk's packed rows) per chunk of
+    `batch_size` sequences, with a forward that builds no graph. The rows
+    are each sequence's first `length` positions, in order."""
+    params = ag.detached(params)
+    for lo in range(0, len(seqs), batch_size):
+        chunk = seqs[lo:lo + batch_size]
+        yield chunk, head(params, M.encode(params, model_cfg, *stack_batch(chunk))).data
+
+
 def _head_logits(params, model_cfg: M.ModelConfig, seqs, batch_size: int,
                  head) -> list[np.ndarray]:
     """Logits of `head` at every real position, one block of rows per
-    sequence (its first `length` positions), encoded `batch_size` at a time
-    with a forward that builds no graph."""
-    params = ag.detached(params)
+    sequence, encoded `batch_size` at a time."""
     blocks = []
-    for lo in range(0, len(seqs), batch_size):
-        chunk = seqs[lo:lo + batch_size]
-        logits = head(params, M.encode(params, model_cfg, *stack_batch(chunk))).data
+    for chunk, logits in _chunk_logits(params, model_cfg, seqs, batch_size, head):
         start = 0
         for s in chunk:
             blocks.append(logits[start:start + s.length])
@@ -119,15 +127,19 @@ def predict_word_tags(
     seqs: list[TokenizedSequence],
     batch_size: int,
 ) -> list[list[str]]:
-    """Per-word predicted tags; words truncated out of the window get O."""
+    """Per-word predicted tags; words truncated out of the window get O.
+    Each chunk of `batch_size` sequences is decoded with one argmax over
+    its first-subword rows. A window holds a prefix of its document's
+    words, so a document's tags are its run of those rows, then O."""
     out = []
-    for s, logits in zip(seqs, _head_logits(params, model_cfg, seqs, batch_size,
-                                            M.head_tag)):
-        positions, words = first_subwords(s)
-        tags = ["O"] * s.n_words
-        for w, tag_id in zip(words.tolist(), np.argmax(logits[positions], axis=-1).tolist()):
-            tags[w] = TAG_LABELS[tag_id]
-        out.append(tags)
+    for chunk, logits in _chunk_logits(params, model_cfg, seqs, batch_size, M.head_tag):
+        first = first_subwords(np.concatenate([s.word_index[:s.length] for s in chunk]))
+        tags = _TAG_NAMES[np.argmax(logits[first], axis=-1)].tolist()
+        start = 0
+        for s in chunk:
+            kept = int(s.word_index[s.length - 2]) + 1  # the word of the last token
+            out.append(tags[start:start + kept] + ["O"] * (s.n_words - kept))
+            start += kept
     return out
 
 
@@ -166,13 +178,9 @@ def qa_windows(
     one. Returns the windows and the word index of each document token (for
     span mapping)."""
     L = model_cfg.max_len
-    q_ids = []
-    for w in ex.question.split():
-        q_ids.extend(tokenize_to_ids(w, vocab))
-    cells = serialize_cells(normalize_document(ex.doc))
-    tokens = np.array(list(cell_tokens(cells, vocab)), dtype=np.int64).reshape(-1, 3)
-    doc_ids = tokens[:, 0].tolist()
-    doc_boxes = token_boxes(cells, model_cfg.layout_mode, tokens[:, 1], tokens[:, 2])
+    q_ids, _ = tokenize_words(ex.question.split(), vocab)
+    doc = document_tokens(ex.doc, vocab, model_cfg.layout_mode)
+    doc_ids, doc_boxes = doc.ids.tolist(), doc.boxes
     room = L - 3 - len(q_ids)
     if room < 1:
         raise DataError(f"{ex.doc.doc_id}: question leaves no room for the document")
@@ -196,7 +204,7 @@ def qa_windows(
             token_ids=ids, boxes=boxes, length=length, doc_mask=doc_mask,
             doc_offset=offset, doc_start=start, window_token_ids=chunk,
         ))
-    return windows, tokens[:, 2].tolist()
+    return windows, doc.word_index.tolist()
 
 
 def qa_token_span(doc_words: list[int], span: tuple[int, int]) -> tuple[int, int]:

@@ -121,6 +121,20 @@ def tokenize_to_ids(word: str, vocab: Vocab) -> list[int]:
     return [vocab.id(p) for p in tokenize(word, vocab)]
 
 
+def tokenize_words(words: Iterable[str], vocab: Vocab) -> tuple[list[int], list[int]]:
+    """Token ids of `words` in order, and the number of pieces of each
+    word. A whole word in the vocabulary is its own piece, which is the
+    first probe of `tokenize`; only other words go through its loop."""
+    ids: list[int] = []
+    pieces: list[int] = []
+    for word in words:
+        i = vocab.token_to_id.get(word)
+        word_ids = tokenize_to_ids(word, vocab) if i is None else [i]
+        ids += word_ids
+        pieces.append(len(word_ids))
+    return ids, pieces
+
+
 def detokenize(tokens: Iterable[str]) -> str:
     """Join subword pieces back into whitespace-separated words."""
     words: list[str] = []

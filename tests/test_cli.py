@@ -348,6 +348,23 @@ def test_malformed_document_is_exit_2(pipeline, tmp_path, capsys, command, bad):
     assert f"{name}:4: " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("change", [{"question": None}, {"question": 5}, {"answers": []}],
+                         ids=["null-question", "number-question", "no-answers"])
+def test_malformed_qa_label_is_exit_2(pipeline, tmp_path, capsys, change):
+    _, out, _ = pipeline
+    lines = (out / "qa_labels.jsonl").read_text().splitlines()
+    lines[2] = json.dumps({**json.loads(lines[2]), **change})
+    labels = tmp_path / "qa_labels.jsonl"
+    labels.write_text("\n".join(lines) + "\n")
+    code = main(["finetune", "--task", "qa", "--docs", str(out / "qa_docs.jsonl"),
+                 "--labels", str(labels), "--init", "none", "--vocab", str(out / "vocab.txt"),
+                 "--out", str(tmp_path / "x"), "--steps", "2"] + TINY_MODEL)
+    assert code == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "qa_labels.jsonl:3: " in err[0]
+    assert not (tmp_path / "x").exists()  # rejected before any training
+
+
 @pytest.mark.parametrize("mode", ["word-level", "cell-level"])
 def test_removed_layout_mode_spellings_are_config_errors(pipeline, tmp_path, capsys,
                                                          mode):
@@ -669,6 +686,10 @@ def test_ablate_tiny_matrix(pipeline, tmp_path, monkeypatch):
         # each worker runs with the one BLAS thread the harness gives it
         report = (ab / variant / "report.txt").read_text().splitlines()
         assert "blas_threads=1" in report
+        # the settings it was fine-tuned with, as a finetune report has them
+        assert "train.batch_size=4" in report and "train.steps=4" in report
+        layout = "word" if variant == "word_level" else "cell"
+        assert f"model.layout_mode={layout}" in report
 
 
 def test_ablate_variant_does_not_depend_on_its_neighbours(pipeline, tmp_path):

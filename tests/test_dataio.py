@@ -135,6 +135,28 @@ def test_malformed_qa_record_names_path_and_line(tmp_path, change):
         read_qa_examples(*paths)
 
 
+@pytest.mark.parametrize("change, message", [
+    ({"question": None}, "'question' must be a string, got None"),
+    ({"question": ["what"]}, "'question' must be a string"),
+    ({"answers": []}, "'answers' must be a non-empty list of strings, got \\[\\]"),
+], ids=["null-question", "list-question", "no-answers"])
+def test_qa_question_and_answers_are_checked_where_read(tmp_path, change, message):
+    ex = gen_qa_dataset(CFG, 2)[0]
+    record = {"doc_id": ex.doc.doc_id, "question": ex.question, "answers": ex.answers,
+              "span": list(ex.span)}
+    paths = _write_labels(tmp_path, [ex.doc], [record, {**record, **change}])
+    with pytest.raises(DataError, match=r"l\.jsonl:2: " + message):
+        read_qa_examples(*paths)
+
+
+def test_qa_question_is_read_lowercase(tmp_path):
+    ex = gen_qa_dataset(CFG, 2)[0]
+    record = {"doc_id": ex.doc.doc_id, "question": "What is the TOTAL ?",
+              "answers": ex.answers, "span": list(ex.span)}
+    (read,) = read_qa_examples(*_write_labels(tmp_path, [ex.doc], [record]))
+    assert read.question == "what is the total ?"
+
+
 @pytest.mark.parametrize("label", ["abc", "1", 1.5, True, None])
 def test_non_integer_class_label_names_path_and_line(tmp_path, label):
     ex = gen_cls_dataset(CFG, 2)[0]

@@ -312,6 +312,36 @@ def test_encode_box_equality_iff_same_cell_on_synthetic_docs():
             assert tuple(seq.boxes[pos]) == (0, 0, 0, 0)
 
 
+@pytest.mark.parametrize("mode", ["cell", "word"])
+@pytest.mark.parametrize("max_len", [8, 64])
+def test_encode_matches_a_plain_reference(edge_docs, edge_vocab, reference_tokens,
+                                          mode, max_len):
+    cut_words = set()
+    for doc in edge_docs:
+        cells, rows = reference_tokens(doc, edge_vocab, mode)
+        kept, pad = rows[:max_len - 2], max(0, max_len - 2 - len(rows))
+        ids, cell_idx, word_idx, boxes = zip(*kept)
+        seq = encode_document(doc, edge_vocab, max_len, mode)
+        assert seq.token_ids.tolist() == [CLS_ID, *ids, SEP_ID] + [PAD_ID] * pad
+        assert seq.cell_index.tolist() == [-1, *cell_idx] + [-1] * (pad + 1)
+        assert seq.word_index.tolist() == [-1, *word_idx] + [-1] * (pad + 1)
+        assert seq.boxes.tolist() == [[0] * 4, *map(list, boxes)] + [[0] * 4] * (pad + 1)
+        assert seq.cell_boxes.tolist() == [list(c.box) for c in cells]
+        assert (seq.length, seq.n_words) == (len(kept) + 2, sum(len(c.words) for c in cells))
+        for a in (seq.token_ids, seq.cell_index, seq.word_index, seq.boxes, seq.cell_boxes):
+            assert a.dtype == np.int64
+        if len(rows) > len(kept) and rows[len(kept)][2] == word_idx[-1]:
+            cut_words.add(doc.doc_id)
+    # the documents reach the edges they are meant to
+    streams = {d.doc_id: reference_tokens(d, edge_vocab, mode) for d in edge_docs}
+    pieces = [edge_vocab.token(r[0]) for _, rows in streams.values() for r in rows]
+    assert UNK in pieces and "##s" in pieces and "##e" in pieces
+    ties = [c.source_index for c in streams["ties"][0]]
+    assert ties == [4, 0, 1, 3, 2]  # three cells meet at grid origin (10, 20)
+    if max_len == 8:
+        assert cut_words == {"oov", "ties", "cut"}
+
+
 # -- pinned ingest outputs ---------------------------------------------------------
 
 # sha256 of `_ingest_digest()`. Without the documents that end on a page's

@@ -16,9 +16,9 @@ from cellformer.dataio import DataError
 from cellformer.documents import encode_document, stack_batch
 from cellformer.model import MASK_NEG, ModelConfig
 from cellformer.pretrain import IGNORE_LABEL, PretrainConfig, derive_rng, make_pretrain_example
-from cellformer.metrics import TAG_TO_ID
+from cellformer.metrics import TAG_LABELS, TAG_TO_ID
 from cellformer.synth import SynthConfig, gen_cls_dataset, gen_form_dataset, gen_qa_dataset, vocab_words
-from cellformer.taskdata import split_train_eval
+from cellformer.taskdata import QaExample, split_train_eval
 from cellformer.tasks import (
     TASKS, _head_logits, classification_items, classification_loss, evaluate, finetune,
     predict_word_tags, prepare_finetune_params, qa_items, qa_loss, qa_predict_answer,
@@ -26,7 +26,7 @@ from cellformer.tasks import (
     tagging_token_labels,
 )
 from cellformer.trainer import Pretrainer, TrainConfig, pretrain_batch_loss
-from cellformer.vocab import CLS_ID, SEP_ID, build_vocab, tokenize_to_ids
+from cellformer.vocab import CLS_ID, PAD_ID, SEP_ID, build_vocab, tokenize_to_ids
 
 SYNTH = SynthConfig(seed=21, min_pairs=3, max_pairs=5)
 TASK_DATA = {"tagging": gen_form_dataset, "qa": gen_qa_dataset,
@@ -153,6 +153,42 @@ def test_qa_windows_layout(vocab, model_cfg):
     assert win.boxes[win.doc_mask].max() > 0
     ts, te = qa_token_span(doc_words, ex.span)
     assert 0 <= ts <= te < len(doc_words)
+
+
+@pytest.mark.parametrize("mode", ["cell", "word"])
+def test_qa_windows_match_a_plain_reference(edge_docs, edge_vocab, reference_tokens, mode):
+    cfg = ModelConfig(vocab_size=len(edge_vocab), num_layers=1, num_heads=2, hidden_d=16,
+                      ffn_d=32, max_len=16, layout_mode=mode)
+    question = "what is the total ?"
+    q_ids = [t for w in question.split() for t in tokenize_to_ids(w, edge_vocab)]
+    for doc in edge_docs:
+        _, rows = reference_tokens(doc, edge_vocab, mode)
+        windows, words = qa_windows(QaExample(doc, question, ["x"], None), edge_vocab, cfg)
+        assert words == [r[2] for r in rows]
+        assert len(windows) > 1
+        for win in windows:
+            doc_rows = rows[win.doc_start:win.doc_start + len(win.window_token_ids)]
+            ids = [r[0] for r in doc_rows]
+            assert win.window_token_ids == ids
+            assert win.token_ids.tolist() == ([CLS_ID, *q_ids, SEP_ID, *ids, SEP_ID]
+                                              + [PAD_ID] * (cfg.max_len - win.length))
+            assert win.boxes[win.doc_mask].tolist() == [list(r[3]) for r in doc_rows]
+            assert not win.boxes[~win.doc_mask].any()
+        assert windows[-1].doc_start + len(windows[-1].window_token_ids) == len(rows)
+
+
+def test_qa_question_case_does_not_change_its_windows(vocab, model_cfg):
+    ex = gen_qa_dataset(SYNTH, 2)[0]
+    upper = QaExample(ex.doc, "WHAT IS THE VOLUME ?", ex.answers, ex.span)
+    lower = QaExample(ex.doc, "what is the volume ?", ex.answers, ex.span)
+    (up_windows, up_words), (windows, words) = (qa_windows(e, vocab, model_cfg)
+                                                for e in (upper, lower))
+    assert windows[0].doc_offset == 2 + 5  # one piece per word
+    assert up_words == words and len(up_windows) == len(windows)
+    for a, b in zip(up_windows, windows):
+        assert np.array_equal(a.token_ids, b.token_ids)
+        assert np.array_equal(a.boxes, b.boxes)
+        assert (a.length, a.doc_offset, a.doc_start) == (b.length, b.doc_offset, b.doc_start)
 
 
 def test_qa_multiple_windows_cover_long_documents(vocab, small):
@@ -408,6 +444,27 @@ def test_batched_tagging_gives_each_document_its_tags_alone(vocab, model_cfg):
     alone = [predict_word_tags(params, model_cfg, [s], batch_size=1)[0] for s in seqs]
     assert len({tag for tags in alone for tag in tags}) > 1
     assert batched == alone
+
+
+def test_batch_decode_matches_per_document_decode(vocab):
+    # a 16-token window truncates every form, and 7 documents make 4 chunks
+    cfg = ModelConfig(vocab_size=len(vocab), num_layers=1, num_heads=2,
+                      hidden_d=16, ffn_d=32, max_len=16)
+    params = prepare_finetune_params(cfg, "tagging", None, seed=3)
+    seqs = [encode_document(ex.doc, vocab, cfg.max_len) for ex in gen_form_dataset(SYNTH, 7)]
+    got = predict_word_tags(params, cfg, seqs, batch_size=2)
+    want = []
+    for s, logits in zip(seqs, _head_logits(params, cfg, seqs, 2, M.head_tag)):
+        tags = ["O"] * s.n_words
+        seen = set()
+        for pos, w in enumerate(s.word_index[:s.length].tolist()):
+            if w >= 0 and w not in seen:
+                seen.add(w)
+                tags[w] = TAG_LABELS[int(np.argmax(logits[pos]))]
+        assert len(seen) < s.n_words  # words cut off by the window stay O
+        want.append(tags)
+    assert got == want
+    assert len({t for tags in got for t in tags[:3]}) > 1
 
 
 def test_qa_predict_answer_without_graph_matches_graph_forward(
