@@ -22,8 +22,8 @@ from pathlib import Path
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint, snapshot
 from .config import ConfigError, apply_settings, config_lines, parse_kv_file
 from .dataio import (
-    DataError, MetricsLog, read_cell_jsonl, read_tagging_examples, write_cell_jsonl,
-    write_cls_jsonl, write_qa_jsonl, write_report, write_tagging_jsonl,
+    DataError, MetricsLog, read_cell_jsonl, read_metrics, read_tagging_examples,
+    write_cell_jsonl, write_cls_jsonl, write_qa_jsonl, write_report, write_tagging_jsonl,
 )
 from .gradcheck import REL_TOL, run_grad_check
 from .model import ModelConfig
@@ -107,6 +107,15 @@ def _print_config(sections: dict, omit=()) -> None:
         print("  " + line)
 
 
+def _split_labelled(examples, labels_path) -> tuple[list, list]:
+    """The train/eval split, which holds out every fifth example, so needs 5."""
+    train_set, eval_set = split_train_eval(examples)
+    if not eval_set:
+        raise DataError(f"{labels_path}: {len(examples)} labelled examples; at least "
+                        "5 are needed, since every fifth is held out for evaluation")
+    return train_set, eval_set
+
+
 def _load_vocab(path) -> Vocab:
     try:
         return Vocab.from_lines(Path(path).read_text(encoding="utf-8"))
@@ -121,8 +130,6 @@ def _load_vocab(path) -> Vocab:
 
 def cmd_gen_corpus(args) -> int:
     (synth_cfg,) = _resolve([SynthConfig()], args)
-    if synth_cfg.num_docs <= 0:
-        raise ConfigError("num_docs must be positive")
     _print_config({"corpus": synth_cfg})
 
     out = Path(args.out)
@@ -220,7 +227,7 @@ def cmd_finetune(args) -> int:
     model_cfg, train_cfg = _resolve([model_cfg, TrainConfig()], args, fixed)
 
     examples = TASKS[task].read(args.docs, args.labels)
-    train_set, eval_set = split_train_eval(examples)
+    train_set, eval_set = _split_labelled(examples, args.labels)
     _print_config({"model": model_cfg, "train": train_cfg})
     print(f"task={task} train={len(train_set)} eval={len(eval_set)}")
 
@@ -270,7 +277,7 @@ def cmd_ablate(args) -> int:
         raise ConfigError(f"pretrain_steps and finetune_steps: {e}") from None
     docs = read_cell_jsonl(args.corpus)
     examples = read_tagging_examples(args.form_docs, args.form_labels)
-    train_set, eval_set = split_train_eval(examples)
+    train_set, eval_set = _split_labelled(examples, args.form_labels)
     sections = {"model": model_cfg, "train": train_cfg}
     if pretrains:
         sections["objectives"] = pre_cfg
@@ -298,10 +305,8 @@ def cmd_ablate(args) -> int:
     failures = {v: f.exception() for v, f in futures.items() if f.exception()}
     for variant, error in failures.items():
         logger.error("variant %s failed", variant, exc_info=error)
-    outcomes = {v: ({"status": f"failed: {failures[v]}"}, None) if v in failures
-                else f.result() for v, f in futures.items()}
-    results = {v: outcomes[v][0] for v in variants}
-    histories = {v: h for v, (_, h) in outcomes.items() if h is not None}
+    results = {v: {"status": f"failed: {failures[v]}"} if v in failures
+               else futures[v].result() for v in variants}
 
     table_lines = [f"{'variant':<14}{'f1':>8}  status"]
     for variant in variants:
@@ -316,9 +321,11 @@ def cmd_ablate(args) -> int:
                                       encoding="utf-8")
     print("\n".join(table_lines))
 
-    if "full" in histories and "word_level" in histories:
+    if {"full", "word_level"} <= set(variants) - set(failures):
+        cell, word = (read_metrics(out / v / "pretrain_metrics.jsonl")
+                      for v in ("full", "word_level"))
         series = ["step\tcell_level\tword_level"]
-        for a, b in zip(histories["full"], histories["word_level"]):
+        for a, b in zip(cell, word):
             series.append(f"{a['step']}\t{a['mvlm_loss']:.6f}\t{b['mvlm_loss']:.6f}")
         (out / "mvlm_loss_series.tsv").write_text("\n".join(series) + "\n",
                                                   encoding="utf-8")
@@ -369,12 +376,12 @@ def _settings_fields(model_cfg: ModelConfig, train_cfg: TrainConfig) -> dict:
 
 
 def _run_variant(variant, docs, vocab, model_cfg, pt_cfg, ft_cfg, pre_cfg,
-                 train_set, eval_set, vdir) -> tuple[dict, list | None]:
-    """(result, per-step pre-training records or None)."""
+                 train_set, eval_set, vdir) -> dict:
+    """The variant's evaluation report and status; its pre-training records
+    go to `vdir / "pretrain_metrics.jsonl"`."""
     layout = "word" if variant == "word_level" else "cell"
     vcfg = dataclasses.replace(model_cfg, layout_mode=layout)
     init = None
-    history = None
     fields = {"variant": variant, "seed": ft_cfg.seed,
               "blas_threads": _blas_threads(), **_settings_fields(vcfg, ft_cfg)}
     if variant != "no_pretrain":
@@ -382,7 +389,7 @@ def _run_variant(variant, docs, vocab, model_cfg, pt_cfg, ft_cfg, pre_cfg,
         trainer = Pretrainer(docs, vocab, vcfg, pt_cfg, pre_cfg,
                              use_cpc=(variant != "no_cpc"))
         with MetricsLog(vdir / "pretrain_metrics.jsonl") as mlog:
-            history = trainer.run(metrics_log=mlog)
+            trainer.run(metrics_log=mlog)
         init = trainer.to_checkpoint()
         save_checkpoint(vdir / "pretrain.ckpt", init)
         fields.update(trainer.evaluate_heldout())
@@ -397,7 +404,7 @@ def _run_variant(variant, docs, vocab, model_cfg, pt_cfg, ft_cfg, pre_cfg,
                     snapshot(vcfg, params, vocab.id_to_token, ft_cfg.steps))
     fields.update(report)
     write_report(vdir / "report.txt", fields)
-    return {**report, "status": "ok"}, history
+    return {**report, "status": "ok"}
 
 
 def _ordering_note(results: dict) -> str:

@@ -42,9 +42,7 @@ def parse_kv_file(path) -> dict[str, str]:
 
 
 def _coerce(raw: str, typ, key: str, source: str):
-    """`raw` as `typ`: an int, a float, a str or a comma-separated tuple[str, ...]."""
-    if typing.get_origin(typ) is tuple:
-        return tuple(p.strip() for p in raw.split(",") if p.strip())
+    """`raw` as `typ`: an int, a float or a str."""
     if typ in (int, float):
         try:
             return typ(raw)
@@ -100,8 +98,5 @@ def config_lines(sections: dict[str, object], omit=()) -> list[str]:
         for f in sorted(dataclasses.fields(inst), key=lambda f: f.name):
             if f.name in omit:
                 continue
-            value = getattr(inst, f.name)
-            if isinstance(value, tuple):
-                value = ",".join(str(v) for v in value)
-            lines.append(f"{f.name}={value}")
+            lines.append(f"{f.name}={getattr(inst, f.name)}")
     return lines

@@ -1,21 +1,23 @@
 """Synthetic form-like document generator with known structure.
 
-Documents are laid out on a 1000x1000 page aligned with the 4x4 position
-grid. Every field key has a home slot (occupied ~90% of the time) and a
-value grammar, so masked value tokens are predictable from their key cell
-and a zeroed cell's grid area is predictable from its content; vertical
-jitter inside slots interleaves cells in reading order, which is what makes
-cell grouping worth learning.
+The page geometry is fixed, not a setting. A form lies on a 1000x1000 page:
+a header band covers the top quarter and a 3x4 grid of 250x250 body slots
+fills the rest, so each slot is one area of the model's 4x4 position grid
+(`num_areas` = 16). Every field key has a home slot (taken with probability
+`HOME_SLOT_PROB`) and a value grammar, so masked value tokens are
+predictable from their key cell and a zeroed cell's grid area is predictable
+from its content; vertical jitter inside slots interleaves cells in reading
+order, which is what makes cell grouping worth learning.
 
-Three layout templates (form / letter / receipt) back the document
-classification task; forms also carry BIES word labels and key-value QA
-pairs for the other two tasks.
+The three layout templates of `TEMPLATES` (form / letter / receipt, in
+class-label order) back the document classification task; forms also carry
+BIES word labels and key-value QA pairs for the other two tasks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import ClassVar, Sequence
 
 import numpy as np
 
@@ -24,6 +26,13 @@ from .pretrain import derive_rng
 from .taskdata import ClsExample, QaExample, TaggingExample
 
 PAGE = 1000
+BODY_ROWS, BODY_COLS = 3, 4
+N_SLOTS = BODY_ROWS * BODY_COLS
+HEADER_BAND = PAGE // 4
+SLOT_W = PAGE // BODY_COLS
+SLOT_H = (PAGE - HEADER_BAND) // BODY_ROWS
+HOME_SLOT_PROB = 0.9  # a header or key sits in its home area
+NOISE_RATE = 0.1  # distractor cells per sized cell, spread over free slots
 
 # -- lexicons ---------------------------------------------------------------
 
@@ -76,7 +85,7 @@ QTY_NUMS = ("5", "10", "15", "20", "25", "40", "50", "75", "80", "90",
             "120", "150")
 UNITS = ("pcs", "kg", "lbs", "units", "boxes", "hrs")
 
-# (key phrase, grammar); home slot = index % 12
+# (key phrase, grammar); home slot = index % N_SLOTS
 FIELD_KEYS: tuple[tuple[tuple[str, ...], str], ...] = (
     (("due", "date"), "date"),
     (("ship", "date"), "date"),
@@ -119,26 +128,29 @@ FIELD_KEYS: tuple[tuple[tuple[str, ...], str], ...] = (
 
 @dataclass
 class SynthConfig:
+    """The seven corpus settings: `seed`, the document counts `num_docs`
+    (pre-training), `num_form_docs`, `num_qa_docs` and `num_cls_docs` (one
+    labelled example each; every fifth is held out, so at least 5), and
+    `min_pairs` / `max_pairs`, the key-value pairs per form, at most one per
+    body slot. `vocab_max_size` is a constant, not a setting."""
+
     seed: int = 0
     num_docs: int = 5000
     num_form_docs: int = 150
     num_qa_docs: int = 1200
     num_cls_docs: int = 240
-    vocab_max_size: int = 512
     min_pairs: int = 6
     max_pairs: int = 10
-    body_rows: int = 3
-    body_cols: int = 4
-    home_slot_prob: float = 0.9
-    noise_rate: float = 0.1
-    templates: tuple[str, ...] = ("form", "letter", "receipt")
+    vocab_max_size: ClassVar[int] = 512
 
     def __post_init__(self):
-        unknown = set(self.templates) - {"form", "letter", "receipt"}
-        if unknown:
-            raise ValueError(f"unknown layout templates: {sorted(unknown)}")
-        if self.body_rows * self.body_cols < 1:
-            raise ValueError("need at least one body slot")
+        for name, least in (("num_docs", 1), ("num_form_docs", 5),
+                            ("num_qa_docs", 5), ("num_cls_docs", 5)):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be at least {least}, got {getattr(self, name)}")
+        if not 1 <= self.min_pairs <= self.max_pairs <= N_SLOTS:
+            raise ValueError(f"need 1 <= min_pairs <= max_pairs <= {N_SLOTS}, "
+                             f"got {self.min_pairs} and {self.max_pairs}")
 
 
 def vocab_words(cfg: SynthConfig) -> list[str]:
@@ -244,12 +256,9 @@ class FormLayout:
     key_indices: list[int]  # per cell: FIELD_KEYS index, -1 when n/a
 
 
-def _slot_origin(cfg: SynthConfig, slot: int) -> tuple[int, int]:
-    header_band = PAGE // 4
-    slot_w = PAGE // cfg.body_cols
-    slot_h = (PAGE - header_band) // cfg.body_rows
-    row, col = divmod(slot, cfg.body_cols)
-    return col * slot_w, header_band + row * slot_h
+def _slot_origin(slot: int) -> tuple[int, int]:
+    row, col = divmod(slot, BODY_COLS)
+    return col * SLOT_W, HEADER_BAND + row * SLOT_H
 
 
 def _gen_form(cfg: SynthConfig, rng: np.random.Generator, doc_id: str) -> FormLayout:
@@ -262,7 +271,7 @@ def _gen_form(cfg: SynthConfig, rng: np.random.Generator, doc_id: str) -> FormLa
     header_words = [HEADER_WORDS[rng.integers(len(HEADER_WORDS))]
                     for _ in range(n_header)]
     hw = _cell_width(header_words)
-    if rng.random() < cfg.home_slot_prob:
+    if rng.random() < HOME_SLOT_PROB:
         hx0 = int(rng.integers(260, max(261, 490 - hw)))
     else:
         hx0 = int(rng.integers(4, PAGE - hw - 4))
@@ -271,52 +280,46 @@ def _gen_form(cfg: SynthConfig, rng: np.random.Generator, doc_id: str) -> FormLa
     roles.append("header")
     key_ids.append(-1)
 
-    n_slots = cfg.body_rows * cfg.body_cols
-    slot_w = PAGE // cfg.body_cols
-    slot_h = (PAGE - PAGE // 4) // cfg.body_rows
     n_pairs = int(rng.integers(cfg.min_pairs, cfg.max_pairs + 1))
-    n_pairs = min(n_pairs, n_slots)
 
     # one key per sampled slot (keys share home slots, so sampling slots
     # first keeps the home placement collision-free)
-    chosen_slots = rng.permutation(n_slots)[:n_pairs].tolist()
+    chosen_slots = rng.permutation(N_SLOTS)[:n_pairs].tolist()
     placements: list[tuple[int, int]] = []  # (key_index, slot)
     displaced: list[int] = []
     used: set[int] = set()
     for slot in chosen_slots:
-        candidates = [k for k in range(len(FIELD_KEYS)) if k % n_slots == slot]
-        key_index = candidates[rng.integers(len(candidates))] if candidates \
-            else int(rng.integers(len(FIELD_KEYS)))
-        if rng.random() < cfg.home_slot_prob:
+        candidates = range(slot, len(FIELD_KEYS), N_SLOTS)  # keys homed here
+        key_index = candidates[rng.integers(len(candidates))]
+        if rng.random() < HOME_SLOT_PROB:
             placements.append((key_index, slot))
             used.add(slot)
         else:
             displaced.append(key_index)
-    free_list = [s for s in range(n_slots) if s not in used]
+    free = [s for s in range(N_SLOTS) if s not in used]
     for key_index in displaced:
-        slot = free_list.pop(int(rng.integers(len(free_list))))
+        slot = free.pop(int(rng.integers(len(free))))
         placements.append((key_index, slot))
-    free = set(free_list)
 
     for key_index, slot in placements:
         phrase, grammar = FIELD_KEYS[key_index]
         value = _value_words(key_index, grammar, rng)
         kw = _cell_width(phrase)
         vw = _cell_width(value)
-        sx, sy = _slot_origin(cfg, slot)
+        sx, sy = _slot_origin(slot)
         # key + gap + value must sit inside the slot so both centers share
         # the slot's grid area
         gap = int(rng.integers(8, 19))
-        margin = slot_w - (kw + gap + vw) - 8
+        margin = SLOT_W - (kw + gap + vw) - 8
         kx0 = sx + 4 + int(rng.integers(0, max(1, margin)))
-        ky0 = sy + 12 + int(rng.integers(0, slot_h - 46))
+        ky0 = sy + 12 + int(rng.integers(0, SLOT_H - 46))
         cells.append(_make_cell(phrase, kx0, ky0))
         roles.append("key")
         key_ids.append(key_index)
         # value y is drawn independently of the key's, so reading order
         # interleaves the pair with other cells: key-value association has to
         # come from geometry, not 1D adjacency
-        vy0 = sy + 12 + int(rng.integers(0, slot_h - 46))
+        vy0 = sy + 12 + int(rng.integers(0, SLOT_H - 46))
         cells.append(_make_cell(value, kx0 + kw + gap, vy0))
         roles.append("value")
         key_ids.append(key_index)
@@ -327,8 +330,8 @@ def _gen_form(cfg: SynthConfig, rng: np.random.Generator, doc_id: str) -> FormLa
     placed = {k for k, _ in placements}
     orphan_pool = [k for k in range(len(FIELD_KEYS)) if k not in placed]
     n_cells_sized = 1 + 2 * n_pairs
-    p_distract = min(1.0, cfg.noise_rate * n_cells_sized / max(1, len(free)))
-    for slot in sorted(free):
+    p_distract = min(1.0, NOISE_RATE * n_cells_sized / max(1, len(free)))
+    for slot in free:  # ascending
         if rng.random() >= p_distract:
             continue
         if orphan_pool and rng.random() < 0.5:
@@ -336,9 +339,9 @@ def _gen_form(cfg: SynthConfig, rng: np.random.Generator, doc_id: str) -> FormLa
         else:
             key_index = int(rng.integers(len(FIELD_KEYS)))
             words = _value_words(key_index, FIELD_KEYS[key_index][1], rng)
-        sx, sy = _slot_origin(cfg, slot)
-        dx0 = sx + 4 + int(rng.integers(0, max(1, slot_w - _cell_width(words) - 8)))
-        dy0 = sy + 12 + int(rng.integers(0, slot_h - 46))
+        sx, sy = _slot_origin(slot)
+        dx0 = sx + 4 + int(rng.integers(0, max(1, SLOT_W - _cell_width(words) - 8)))
+        dy0 = sy + 12 + int(rng.integers(0, SLOT_H - 46))
         cells.append(_make_cell(words, dx0, dy0))
         roles.append("other")
         key_ids.append(-1)
@@ -405,11 +408,8 @@ def _gen_receipt(cfg: SynthConfig, rng: np.random.Generator, doc_id: str) -> Raw
     return RawDocument(doc_id=doc_id, page_width=PAGE, page_height=PAGE, cells=cells)
 
 
-_TEMPLATE_BUILDERS = {
-    "form": lambda cfg, rng, doc_id: _gen_form(cfg, rng, doc_id).doc,
-    "letter": _gen_letter,
-    "receipt": _gen_receipt,
-}
+# the classification templates; a document's label is its template's index
+TEMPLATES = (gen_pretrain_doc, _gen_letter, _gen_receipt)
 
 
 # -- labeled datasets --------------------------------------------------------
@@ -478,15 +478,10 @@ def gen_qa_dataset(cfg: SynthConfig, n: int) -> list[QaExample]:
 
 
 def gen_cls_dataset(cfg: SynthConfig, n: int) -> list[ClsExample]:
-    """Round-robin over the configured layout templates; label = template."""
-    if len(cfg.templates) < 2:
-        raise ValueError("classification needs at least 2 layout templates")
+    """Round-robin over `TEMPLATES`; label = template index."""
     out = []
     for i in range(n):
-        label = i % len(cfg.templates)
-        template = cfg.templates[label]
-        doc = _TEMPLATE_BUILDERS[template](
-            cfg, derive_rng(cfg.seed, "cls", i), f"cls{i:06d}"
-        )
+        label = i % len(TEMPLATES)
+        doc = TEMPLATES[label](cfg, derive_rng(cfg.seed, "cls", i), f"cls{i:06d}")
         out.append(ClsExample(doc=doc, label=label))
     return out

@@ -3,8 +3,10 @@ and rejection, exit codes, and the pretrain/finetune surfaces on tiny runs."""
 
 import argparse
 import dataclasses
+import hashlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 import typing
@@ -35,13 +37,27 @@ def gen(tmp_path, name="corpus", seed="3"):
     return out
 
 
+# SHA-256 of each file of the TINY_GEN corpus at seed 3: a change to the
+# generator that moves one byte of the corpus fails here
+TINY_GEN_SHA256 = {
+    "cls_docs.jsonl": "024dbad41187776221ab57c89f32f3c8710a0fa91a7a388d5a0938aa6cf290be",
+    "cls_labels.jsonl": "a7fe137bbfe33d18b1ceef7f13160663258baf6aa1f4b66c047db3cb3eb57ea7",
+    "form_docs.jsonl": "8fe90bf22a470b1f8e22adb6a043241c23f56b5817ee2d2d9bea1c38733df6b6",
+    "form_labels.jsonl": "b4b99f5d3723fc8e5ab50b56badf12acda8c35a2a9df315ae1bed0ba43b9fce4",
+    "pretrain_docs.jsonl": "e6cd102f3e17724755c620fcf7e9f1346f06b27b403deb4254ea9d6690877ff7",
+    "qa_docs.jsonl": "4d3d1fa0beae5837b8d61d3b3d837292ef83d5b34bc1bb6056e4fbeea14f3e9c",
+    "qa_labels.jsonl": "593b6623212fd9e3fcc8cdcfe1e1b739ecb95b2b1596e85ff6040527e28b4bfc",
+    "vocab.txt": "8aea7d0fd6b9e18b0790464b0360c06a2e2b1d5398f779c08274af0e931e87c3",
+}
+
+
 def test_gen_corpus_is_byte_deterministic(tmp_path, capsys):
     a = gen(tmp_path, "a")
     b = gen(tmp_path, "b")
-    for name in ("pretrain_docs.jsonl", "vocab.txt", "form_docs.jsonl",
-                 "form_labels.jsonl", "qa_docs.jsonl", "qa_labels.jsonl",
-                 "cls_docs.jsonl", "cls_labels.jsonl"):
+    assert sorted(p.name for p in a.iterdir()) == sorted(TINY_GEN_SHA256)
+    for name, digest in TINY_GEN_SHA256.items():
         assert (a / name).read_bytes() == (b / name).read_bytes(), name
+        assert hashlib.sha256((a / name).read_bytes()).hexdigest() == digest, name
 
 
 def test_gen_corpus_counts_match_file_lines(tmp_path, capsys):
@@ -59,6 +75,22 @@ def test_gen_corpus_zero_docs_is_config_error(tmp_path, capsys):
     assert main(["gen-corpus", "--out", str(tmp_path / "x"),
                  "--num-docs", "0"]) == 1
     assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("setting", [
+    ["--min-pairs", "5", "--max-pairs", "3"], ["--min-pairs", "0", "--max-pairs", "0"],
+    ["--max-pairs", "13"], ["--num-form-docs", "1"], ["--num-qa-docs", "-3"],
+    ["--num-cls-docs", "4"],
+], ids=["min-above-max", "no-pairs", "more-pairs-than-slots", "one-form-doc",
+        "negative-qa-docs", "four-cls-docs"])
+def test_bad_synth_setting_is_one_config_error_line_before_any_file(
+        tmp_path, capsys, setting):
+    out = tmp_path / "x"
+    assert main(["gen-corpus", "--out", str(out)] + TINY_GEN + setting) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: "), err
+    assert not out.exists()
 
 
 def test_unknown_config_key_rejected(tmp_path, capsys):
@@ -428,13 +460,17 @@ TRAIN_SETTINGS = {"steps", "batch_size", "lr", "warmup_frac", "seed", "precision
 OBJECTIVE_SETTINGS = {"mask_rate", "mask_token_frac", "random_frac",
                       "cell_select_rate", "zero_box_frac", "eval_every",
                       "heldout_every"}
+SYNTH_SETTINGS = {"seed", "num_docs", "num_form_docs", "num_qa_docs",
+                  "num_cls_docs", "min_pairs", "max_pairs"}
 SETTINGS = {
+    "gen-corpus": SYNTH_SETTINGS,
     "pretrain": MODEL_SETTINGS | TRAIN_SETTINGS | OBJECTIVE_SETTINGS | {"stop_after"},
     "finetune": MODEL_SETTINGS | TRAIN_SETTINGS,
     "ablate": (MODEL_SETTINGS - {"layout_mode"}) | (TRAIN_SETTINGS - {"steps"})
     | OBJECTIVE_SETTINGS,
 }
 OTHER_ARGUMENTS = {
+    "gen-corpus": {"config", "out"},
     "pretrain": {"config", "corpus", "vocab", "out", "cpc", "resume"},
     "finetune": {"config", "task", "docs", "labels", "init", "vocab", "out"},
     "ablate": {"config", "corpus", "vocab", "form_docs", "form_labels", "out",
@@ -442,8 +478,8 @@ OTHER_ARGUMENTS = {
 }
 
 
-@pytest.mark.parametrize("command,count", [("pretrain", 24), ("finetune", 16),
-                                           ("ablate", 21)])
+@pytest.mark.parametrize("command,count", [("gen-corpus", 7), ("pretrain", 24),
+                                           ("finetune", 16), ("ablate", 21)])
 def test_each_command_takes_only_the_settings_it_reads(command, count):
     (commands,) = [a for a in build_parser()._actions
                    if isinstance(a, argparse._SubParsersAction)]
@@ -452,10 +488,10 @@ def test_each_command_takes_only_the_settings_it_reads(command, count):
     assert len(SETTINGS[command]) == count
 
 
-def test_every_setting_is_an_int_float_str_or_tuple_of_str():
+def test_every_setting_is_an_int_float_or_str():
     # the only types the config coercion reads: any other, a bool say,
     # would get the raw string, and "false" is truthy
-    coerced = {int, float, str, tuple[str, ...]}
+    coerced = {int, float, str}
     for classes, _ in cli.SETTINGS.values():
         for cls in classes:
             hints = typing.get_type_hints(cls)
@@ -487,6 +523,23 @@ def test_ablate_zero_steps_is_config_error_before_any_work(pipeline, tmp_path, c
                 + ["--variants", "full", flag, "0"])
     assert code == 1
     assert "steps must be positive" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("command", ["finetune", "ablate"])
+def test_fewer_than_five_labelled_examples_is_a_data_error_before_any_work(
+        pipeline, tmp_path, capsys, command):
+    _, out, _ = pipeline
+    # every fifth example is held out, so four leave nothing to evaluate
+    small = tmp_path / "corpus"
+    shutil.copytree(out, small)
+    for name in ("form_docs.jsonl", "form_labels.jsonl"):
+        lines = (out / name).read_text().splitlines(keepends=True)
+        (small / name).write_text("".join(lines[:4]))
+    assert main(command_args(small, command, tmp_path / "x")) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("data error: "), err
+    assert str(small / "form_labels.jsonl") in err[0] and "at least 5" in err[0]
     assert not (tmp_path / "x").exists()
 
 

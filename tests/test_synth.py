@@ -8,8 +8,8 @@ import pytest
 from cellformer.documents import normalize_document
 from cellformer.pretrain import area_of, derive_rng
 from cellformer.synth import (
-    CENTS, DAYS, DOLLARS, FIELD_KEYS, MONTHS, SynthConfig, YEARS, _gen_form,
-    gen_cls_dataset, gen_form_dataset, gen_pretrain_doc, gen_qa_dataset,
+    CENTS, DAYS, DOLLARS, FIELD_KEYS, MONTHS, TEMPLATES, SynthConfig, YEARS,
+    _gen_form, gen_cls_dataset, gen_form_dataset, gen_pretrain_doc, gen_qa_dataset,
     vocab_words,
 )
 
@@ -143,17 +143,7 @@ def test_cls_class_balance_and_label_recoverable():
     counts = Counter(ex.label for ex in data)
     assert max(counts.values()) - min(counts.values()) <= 1
     for i, ex in enumerate(data):
-        assert ex.label == i % len(CFG.templates)
-
-
-def test_cls_requires_two_templates():
-    with pytest.raises(ValueError):
-        gen_cls_dataset(SynthConfig(seed=0, templates=("form",)), 10)
-
-
-def test_cls_rejects_unknown_template():
-    with pytest.raises(ValueError):
-        SynthConfig(templates=("form", "poster"))
+        assert ex.label == i % len(TEMPLATES)
 
 
 def test_cls_deterministic():
