@@ -14,7 +14,7 @@ from cellformer.checkpoint import load_checkpoint
 from cellformer.dataio import read_qa_examples, read_tagging_examples
 from cellformer.documents import encode_document, stack_batch
 from cellformer.metrics import ENTITY_CATEGORIES, anls_single, decode_bies, word_f1
-from cellformer.pretrain import PretrainConfig, derive_rng, make_pretrain_example
+from cellformer.pretrain import derive_rng, make_pretrain_example
 from cellformer.synth import FIELD_KEYS, SynthConfig, gen_form_dataset
 from cellformer.taskdata import split_train_eval
 from cellformer.tasks import predict_word_tags, qa_predict_answer, qa_windows
@@ -121,12 +121,10 @@ def mvlm_by_role(ckpt_path, seed, n_docs=200):
     ckpt = load_checkpoint(ckpt_path)
     vocab, mc = Vocab(ckpt.vocab_tokens), ckpt.model_config
     params = detached(ckpt.parameters())  # forward only: no graph
-    pre = PretrainConfig()
     by_role = defaultdict(list)
     for i, form in enumerate(gen_form_dataset(SynthConfig(seed=seed), n_docs)):
         seq = encode_document(form.doc, vocab, mc.max_len, mc.layout_mode)
-        ex = make_pretrain_example(seq, pre, len(vocab), mc.num_areas,
-                                   derive_rng(seed, "dm", i))
+        ex = make_pretrain_example(seq, len(vocab), mc.num_areas, derive_rng(seed, "dm", i))
         # one document: its rows are its positions 0 .. length - 1
         hidden = M.encode(params, mc, *stack_batch([ex]))
         logits = M.head_mlm(params, hidden).data

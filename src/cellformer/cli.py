@@ -91,14 +91,13 @@ def _resolve(instances, args, fixed=None):
     """defaults -> config file -> explicit flags, for the fields of
     `instances`; `fixed` (default: the command's) are rejected."""
     fixed = SETTINGS[args.command][1] if fixed is None else fixed
+    layers = []
     if getattr(args, "config", None):
-        instances = apply_settings(
-            instances, parse_kv_file(args.config), str(args.config), fixed
-        )
+        layers.append((str(args.config), parse_kv_file(args.config)))
     ns = vars(args)
-    flags = {f.name: ns[f.name] for inst in instances
-             for f in dataclasses.fields(inst) if f.name in ns}
-    return apply_settings(instances, flags, "command line", fixed)
+    layers.append(("command line", {f.name: ns[f.name] for inst in instances
+                                    for f in dataclasses.fields(inst) if f.name in ns}))
+    return apply_settings(instances, layers, fixed)
 
 
 def _print_config(sections: dict, omit=()) -> None:
@@ -369,8 +368,9 @@ def _one_blas_thread_per_worker():
 
 def _settings_fields(model_cfg: ModelConfig, train_cfg: TrainConfig) -> dict:
     """The `model.*` and `train.*` lines of a fine-tuning report: every
-    setting the model was built and fine-tuned with."""
-    return {f"{title}.{f.name}": getattr(cfg, f.name)
+    setting the model was built and fine-tuned with, written exactly, as
+    the resolved configuration echoes it."""
+    return {f"{title}.{f.name}": str(getattr(cfg, f.name))
             for title, cfg in (("model", model_cfg), ("train", train_cfg))
             for f in sorted(dataclasses.fields(cfg), key=lambda f: f.name)}
 
@@ -378,7 +378,8 @@ def _settings_fields(model_cfg: ModelConfig, train_cfg: TrainConfig) -> dict:
 def _run_variant(variant, docs, vocab, model_cfg, pt_cfg, ft_cfg, pre_cfg,
                  train_set, eval_set, vdir) -> dict:
     """The variant's evaluation report and status; its pre-training records
-    go to `vdir / "pretrain_metrics.jsonl"`."""
+    go to `vdir / "pretrain_metrics.jsonl"` and its held-out evaluations to
+    `vdir / "pretrain_eval.jsonl"`."""
     layout = "word" if variant == "word_level" else "cell"
     vcfg = dataclasses.replace(model_cfg, layout_mode=layout)
     init = None
@@ -388,8 +389,9 @@ def _run_variant(variant, docs, vocab, model_cfg, pt_cfg, ft_cfg, pre_cfg,
         t0 = time.time()
         trainer = Pretrainer(docs, vocab, vcfg, pt_cfg, pre_cfg,
                              use_cpc=(variant != "no_cpc"))
-        with MetricsLog(vdir / "pretrain_metrics.jsonl") as mlog:
-            trainer.run(metrics_log=mlog)
+        with MetricsLog(vdir / "pretrain_metrics.jsonl") as mlog, \
+             MetricsLog(vdir / "pretrain_eval.jsonl") as elog:
+            trainer.run(metrics_log=mlog, eval_log=elog)
         init = trainer.to_checkpoint()
         save_checkpoint(vdir / "pretrain.ckpt", init)
         fields.update(trainer.evaluate_heldout())

@@ -52,14 +52,16 @@ def _coerce(raw: str, typ, key: str, source: str):
     return raw
 
 
-def apply_settings(instances: list, settings: dict[str, str], source: str,
+def apply_settings(instances: list, layers: list[tuple[str, dict[str, str]]],
                    reject: dict[str, str] | None = None) -> list:
     """Route string settings onto one or more dataclass instances.
 
-    A key is set on every instance that has a field of that name (the
+    `layers` holds (source, settings) pairs, each overriding the ones before
+    it. A key is set on every instance that has a field of that name (the
     command-line config classes share no field name, so that is one).
-    Unknown keys, and keys listed in `reject`, raise ConfigError naming the
-    source.
+    Unknown keys, keys listed in `reject` and ill-typed values raise
+    ConfigError naming their layer; the instances' own checks run once, on
+    the merged values.
     """
     field_types = []
     for inst in instances:
@@ -68,23 +70,25 @@ def apply_settings(instances: list, settings: dict[str, str], source: str,
                             for f in dataclasses.fields(inst)})
 
     updates: list[dict] = [{} for _ in instances]
-    for key, raw in settings.items():
-        if reject and key in reject:
-            raise ConfigError(f"{source}: key '{key}': {reject[key]}")
-        matched = False
-        for i, types in enumerate(field_types):
-            if key in types:
-                updates[i][key] = _coerce(raw, types[key], key, source)
-                matched = True
-        if not matched:
-            raise ConfigError(f"{source}: unknown config key '{key}'")
+    for source, settings in layers:
+        for key, raw in settings.items():
+            if reject and key in reject:
+                raise ConfigError(f"{source}: key '{key}': {reject[key]}")
+            matched = False
+            for i, types in enumerate(field_types):
+                if key in types:
+                    updates[i][key] = _coerce(raw, types[key], key, source)
+                    matched = True
+            if not matched:
+                raise ConfigError(f"{source}: unknown config key '{key}'")
 
     out = []
     for inst, up in zip(instances, updates):
         try:
             out.append(dataclasses.replace(inst, **up) if up else inst)
         except ValueError as e:
-            raise ConfigError(f"{source}: {e}") from None
+            sources = " and ".join(source for source, settings in layers if settings)
+            raise ConfigError(f"{sources}: {e}") from None
     return out
 
 

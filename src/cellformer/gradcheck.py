@@ -18,7 +18,7 @@ from . import autograd as ag
 from . import model as M
 from .autograd import Tensor, backward, zero_grads
 from .documents import encode_document
-from .pretrain import PretrainConfig, derive_rng, make_pretrain_example
+from .pretrain import derive_rng, make_pretrain_example
 from .synth import SynthConfig, gen_cls_dataset, gen_form_dataset, gen_qa_dataset, vocab_words
 from .tasks import TASKS
 from .trainer import pretrain_batch_loss
@@ -130,14 +130,12 @@ def run_grad_check(seed: int = 0) -> tuple[bool, dict[str, tuple[float, int]]]:
     pre-training loss and the three fine-tuning losses, each from fresh
     float64 parameters; returns (passed, per-group report)."""
     synth_cfg, vocab, model_cfg = _tiny_setup(seed)
-    pre_cfg = PretrainConfig()
     report: dict[str, tuple[float, int]] = {}
 
     tag_data = gen_form_dataset(synth_cfg, 2)
     seqs = [encode_document(ex.doc, vocab, model_cfg.max_len) for ex in tag_data]
     examples = [
-        make_pretrain_example(s, pre_cfg, len(vocab), model_cfg.num_areas,
-                              derive_rng(seed, s.doc_id, 0))
+        make_pretrain_example(s, len(vocab), model_cfg.num_areas, derive_rng(seed, s.doc_id, 0))
         for s in seqs
     ]
     params = M.init_parameters(model_cfg, derive_rng(seed, "p0"), heads=("mlm", "cpc"))

@@ -31,31 +31,29 @@ def derive_rng(*parts) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(words.tolist())))
 
 
+# The corruption recipe. A real token is selected for MVLM at MASK_RATE; a
+# selected token is masked MASK_TOKEN_FRAC of the time, randomized
+# RANDOM_FRAC of the time and kept otherwise. A cell with no masked token is
+# selected for CPC at CELL_SELECT_RATE; its boxes are zeroed ZERO_BOX_FRAC of
+# the time and kept otherwise.
+MASK_RATE = 0.15
+MASK_TOKEN_FRAC = 0.8
+RANDOM_FRAC = 0.1
+CELL_SELECT_RATE = 0.15
+ZERO_BOX_FRAC = 0.9
+
+
 @dataclass
 class PretrainConfig:
-    """What pre-training alone reads: the corruption rates, the held-out
-    split and the evaluation interval. A selected token is masked
-    mask_token_frac of the time, randomized random_frac of the time and
-    kept otherwise; a selected cell's boxes are zeroed zero_box_frac of the
-    time and kept otherwise. Every heldout_every-th document is held out,
-    and its loss is logged every eval_every steps (0 turns either off). The
-    area count N belongs to the model config: it sizes the position head."""
+    """What pre-training alone reads: the held-out split and the evaluation
+    interval. Every heldout_every-th document is held out, and its loss is
+    logged every eval_every steps (0 turns either off). The area count N
+    belongs to the model config: it sizes the position head."""
 
-    mask_rate: float = 0.15
-    mask_token_frac: float = 0.8
-    random_frac: float = 0.1
-    cell_select_rate: float = 0.15
-    zero_box_frac: float = 0.9
     eval_every: int = 250
     heldout_every: int = 50
 
     def __post_init__(self):
-        if not (0.0 <= self.mask_token_frac and 0.0 <= self.random_frac
-                and self.mask_token_frac + self.random_frac <= 1.0):
-            raise ValueError("mask_token_frac and random_frac must be non-negative "
-                             "and sum to at most 1")
-        if not 0.0 <= self.zero_box_frac <= 1.0:
-            raise ValueError("zero_box_frac must be in [0, 1]")
         if min(self.eval_every, self.heldout_every) < 0 or self.heldout_every == 1:
             raise ValueError("eval_every and heldout_every must be non-negative; "
                              "heldout_every=1 would hold out every document")
@@ -93,11 +91,10 @@ class PretrainExample:
 
 def sample_mvlm(
     seq: TokenizedSequence,
-    cfg: PretrainConfig,
     vocab_size: int,
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Select ~mask_rate of real tokens and rewrite them 80/10/10 as
+    """Select ~MASK_RATE of real tokens and rewrite them 80/10/10 as
     [MASK] / random non-reserved token / unchanged. Boxes stay untouched.
 
     Returns (corrupted token_ids, labels with the original id at selected
@@ -109,7 +106,7 @@ def sample_mvlm(
     if not eligible.any():
         raise ValueError(f"document {seq.doc_id} has no maskable tokens")
 
-    selected = eligible & (rng.random(n) < cfg.mask_rate)
+    selected = eligible & (rng.random(n) < MASK_RATE)
 
     # fixed draw counts keep the stream layout independent of the selection
     action = rng.random(n)
@@ -120,9 +117,9 @@ def sample_mvlm(
         selected[idx[rng.integers(len(idx))]] = True
 
     token_ids = seq.token_ids.copy()
-    to_mask = selected & (action < cfg.mask_token_frac)
-    to_random = selected & (action >= cfg.mask_token_frac) & (
-        action < cfg.mask_token_frac + cfg.random_frac
+    to_mask = selected & (action < MASK_TOKEN_FRAC)
+    to_random = selected & (action >= MASK_TOKEN_FRAC) & (
+        action < MASK_TOKEN_FRAC + RANDOM_FRAC
     )
     token_ids[to_mask] = MASK_ID
     token_ids[to_random] = random_ids[to_random]
@@ -136,12 +133,11 @@ def sample_mvlm(
 def sample_cpc(
     seq: TokenizedSequence,
     masked_token_positions: np.ndarray,
-    cfg: PretrainConfig,
     num_areas: int,
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Select ~cell_select_rate of the cells that contain no masked token;
-    zero the selected cells' token boxes zero_box_frac of the time.
+    """Select ~CELL_SELECT_RATE of the cells that contain no masked token;
+    zero the selected cells' token boxes ZERO_BOX_FRAC of the time.
 
     Labels are the area (of `num_areas`) of the ORIGINAL cell box, at every
     token of a selected cell. Returns (boxes after zeroing, labels, selected
@@ -158,28 +154,27 @@ def sample_cpc(
     if len(eligible) == 0:
         return boxes, labels, np.empty(0, dtype=np.int64)
 
-    pick = rng.random(len(eligible)) < cfg.cell_select_rate
+    pick = rng.random(len(eligible)) < CELL_SELECT_RATE
     zero_draw = rng.random(len(eligible))
     selected = eligible[pick]
     for cell, zero_u in zip(selected, zero_draw[pick]):
         positions = seq.cell_index == cell
         labels[positions] = area_of(seq.cell_boxes[cell], num_areas)
-        if zero_u < cfg.zero_box_frac:
+        if zero_u < ZERO_BOX_FRAC:
             boxes[positions] = 0
     return boxes, labels, selected
 
 
 def make_pretrain_example(
     seq: TokenizedSequence,
-    cfg: PretrainConfig,
     vocab_size: int,
     num_areas: int,
     rng: np.random.Generator,
 ) -> PretrainExample:
     """Apply both corruptions to one encoded document; `vocab_size` and
     `num_areas` are the model's."""
-    token_ids, mvlm_labels, positions = sample_mvlm(seq, cfg, vocab_size, rng)
-    boxes, cpc_labels, cells = sample_cpc(seq, positions, cfg, num_areas, rng)
+    token_ids, mvlm_labels, positions = sample_mvlm(seq, vocab_size, rng)
+    boxes, cpc_labels, cells = sample_cpc(seq, positions, num_areas, rng)
     return PretrainExample(
         doc_id=seq.doc_id,
         token_ids=token_ids,

@@ -17,16 +17,16 @@ import numpy as np
 
 from . import autograd as ag
 from . import model as M
-from .autograd import PRECISIONS, Tensor, backward, zero_grads
+from .autograd import PRECISIONS, Tensor
 from .checkpoint import Checkpoint
 from .dataio import DataError, read_cls_examples, read_qa_examples, read_tagging_examples
 from .documents import TokenizedSequence, document_tokens, encode_document, stack_batch
 from .metrics import TAG_LABELS, TAG_TO_ID, anls, extract_span, word_f1
 from .model import MASK_NEG
-from .optim import adam_step, init_adam
+from .optim import init_adam
 from .pretrain import IGNORE_LABEL, derive_rng, labeled_rows
 from .taskdata import QaExample
-from .trainer import IndexSampler, TrainConfig, lr_at
+from .trainer import IndexSampler, TrainConfig, train
 from .vocab import CLS_ID, SEP_ID, PAD_ID, Vocab, detokenize, tokenize_words
 
 logger = logging.getLogger(__name__)
@@ -379,23 +379,18 @@ def finetune(
                                 f"[0, {model_cfg.num_doc_classes})")
     params = prepare_finetune_params(model_cfg, task, init, train_cfg.seed,
                                      PRECISIONS[train_cfg.precision])
-    adam = init_adam(params)
-
     spec = TASKS[task]
     items = spec.items(train_examples, vocab, model_cfg)
     sampler = IndexSampler(len(items), train_cfg.seed)
-    for step in range(train_cfg.steps):
+
+    def step_loss(step, rng):
         batch = [items[i] for i, _ in sampler.batch(step, train_cfg.batch_size)]
-        loss = spec.loss(params, model_cfg, batch,
-                         rng=derive_rng(train_cfg.seed, "dropout", task, step))
-        zero_grads(params)
-        backward(loss)
-        value = loss.item()
-        del loss  # the spent graph goes before the next step builds its own
-        adam_step(params, adam, lr_at(step, train_cfg))
-        if metrics_log is not None:
-            metrics_log.write({"step": step, "lr": lr_at(step, train_cfg),
-                               "loss": value})
+        loss = spec.loss(params, model_cfg, batch, rng=rng)
+        return loss, {"loss": loss.item()}
+
+    for _ in train(params, init_adam(params), train_cfg, step_loss,
+                   range(train_cfg.steps), ("dropout", task), metrics_log):
+        pass
 
     report = evaluate(task, params, eval_examples, vocab, model_cfg, train_cfg)
     return params, report

@@ -1,5 +1,6 @@
 """Training loop machinery: learning-rate schedule, stateless batch
-ordering, and the joint MVLM+CPC pre-training driver.
+ordering, the optimizer loop every trainer runs, and the joint MVLM+CPC
+pre-training driver.
 
 Everything is derived from (seed, step), never from consumed global RNG
 state, so a run resumed from a checkpoint replays the exact batch and
@@ -12,7 +13,7 @@ import copy
 import logging
 import time
 from dataclasses import dataclass
-from typing import ClassVar, Optional, Sequence
+from typing import Callable, ClassVar, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -21,7 +22,7 @@ from . import model as M
 from .autograd import PRECISIONS, Tensor, backward, zero_grads
 from .checkpoint import Checkpoint, snapshot
 from .documents import RawDocument, encode_document, stack_batch
-from .optim import adam_step, init_adam
+from .optim import AdamState, adam_step, init_adam
 from .pretrain import (
     PretrainConfig, PretrainExample, derive_rng, labeled_rows, make_pretrain_example,
     pretrain_loss,
@@ -33,19 +34,19 @@ logger = logging.getLogger(__name__)
 
 @dataclass
 class TrainConfig:
-    """What both trainers read: the step count, batch size and learning-rate
-    schedule, the seed of every derived stream and the float precision.
-    `max_answer_len`, the widest QA span decoded (in document tokens), is a
-    constant, not a setting."""
+    """What both trainers read: the step count, batch size and peak learning
+    rate, the seed of every derived stream and the float precision. The
+    warmup share of the schedule and `max_answer_len`, the widest QA span
+    decoded (in document tokens), are constants, not settings."""
 
     steps: int = 3000
     batch_size: int = 16
     # desk-scale peak rate, picked by held-out MVLM loss after 4000 steps:
     # 3e-4 plateaus near 3.5 nats, 2e-3 and 5e-3 both reach about 0.95
     lr: float = 2e-3
-    warmup_frac: float = 0.05
     seed: int = 7
     precision: str = "float32"
+    warmup_frac: ClassVar[float] = 0.05
     max_answer_len: ClassVar[int] = 6
 
     def __post_init__(self):
@@ -55,8 +56,6 @@ class TrainConfig:
             raise ValueError("batch_size must be positive")
         if self.precision not in PRECISIONS:
             raise ValueError(f"precision must be one of {sorted(PRECISIONS)}")
-        if not 0.0 <= self.warmup_frac < 1.0:
-            raise ValueError("warmup_frac must be in [0, 1)")
 
 
 def lr_at(step: int, cfg: TrainConfig) -> float:
@@ -65,6 +64,27 @@ def lr_at(step: int, cfg: TrainConfig) -> float:
     if step < warmup:
         return cfg.lr * (step + 1) / warmup
     return cfg.lr * max(0, cfg.steps - step) / max(1, cfg.steps - warmup)
+
+
+def train(params: dict[str, Tensor], adam: AdamState, cfg: TrainConfig, step_loss: Callable,
+          steps: Iterable[int], stream: tuple, metrics_log=None) -> Iterator[dict]:
+    """Run one optimizer step per step of `steps`, yielding each step's
+    record `{"step", "lr", **fields}` once it is written to `metrics_log`.
+
+    `step_loss(step, rng)` builds the step's scalar loss and the fields it
+    logs; `rng`, the stream (cfg.seed, *stream, step), draws the dropout
+    masks."""
+    for step in steps:
+        lr = lr_at(step, cfg)
+        loss, fields = step_loss(step, derive_rng(cfg.seed, *stream, step))
+        zero_grads(params)
+        backward(loss)
+        del loss  # the spent graph goes before the next step builds its own
+        adam_step(params, adam, lr)
+        record = {"step": step, "lr": lr, **fields}
+        if metrics_log is not None:
+            metrics_log.write(record)
+        yield record
 
 
 class IndexSampler:
@@ -178,17 +198,21 @@ class Pretrainer:
                          else copy.deepcopy(resume.adam))
             self.start_step = resume.step
 
-    def _batch_examples(self, step: int):
-        picks = self.sampler.batch(step, self.train_cfg.batch_size)
-        examples = []
-        for idx, epoch in picks:
-            seq = self.train_seqs[idx]
-            rng = derive_rng(self.train_cfg.seed, seq.doc_id, epoch)
-            examples.append(
-                make_pretrain_example(seq, self.pre_cfg, len(self.vocab),
-                                      self.model_cfg.num_areas, rng)
-            )
-        return examples
+    def _corrupt(self, seq, epoch: int) -> PretrainExample:
+        """`seq` as corrupted in `epoch`; epoch -1 is the held-out evaluation's."""
+        return make_pretrain_example(seq, len(self.vocab), self.model_cfg.num_areas,
+                                     derive_rng(self.train_cfg.seed, seq.doc_id, epoch))
+
+    def _batch_examples(self, step: int) -> list[PretrainExample]:
+        return [self._corrupt(self.train_seqs[i], epoch)
+                for i, epoch in self.sampler.batch(step, self.train_cfg.batch_size)]
+
+    def _step_loss(self, step: int, rng: np.random.Generator) -> tuple[Tensor, dict]:
+        """The joint loss of step `step`'s batch and the metrics it logs."""
+        loss, metrics = pretrain_batch_loss(self.params, self.model_cfg,
+                                            self._batch_examples(step), self.use_cpc, rng=rng)
+        logged = ("mvlm_loss", "cpc_loss", "cpc_acc") if self.use_cpc else ("mvlm_loss",)
+        return loss, {key: metrics[key] for key in logged}
 
     def evaluate_heldout(self) -> dict:
         """Deterministic corruption (epoch -1) over the held-out documents."""
@@ -199,13 +223,7 @@ class Pretrainer:
         bs = self.train_cfg.batch_size
         for lo in range(0, len(self.heldout), bs):
             chunk = self.heldout[lo:lo + bs]
-            examples = [
-                make_pretrain_example(
-                    s, self.pre_cfg, len(self.vocab), self.model_cfg.num_areas,
-                    derive_rng(self.train_cfg.seed, s.doc_id, -1),
-                )
-                for s in chunk
-            ]
+            examples = [self._corrupt(s, -1) for s in chunk]
             _, metrics = pretrain_batch_loss(params, self.model_cfg, examples,
                                              self.use_cpc)
             losses.append(metrics["mvlm_loss"] * len(chunk))
@@ -228,26 +246,10 @@ class Pretrainer:
         t0 = time.time()
         last = self.train_cfg.steps if stop_after is None \
             else min(stop_after, self.train_cfg.steps)
-        for step in range(self.start_step, last):
-            examples = self._batch_examples(step)
-            lr = lr_at(step, self.train_cfg)
-            loss, metrics = pretrain_batch_loss(
-                self.params, self.model_cfg, examples, self.use_cpc,
-                rng=derive_rng(self.train_cfg.seed, "dropout", step),
-            )
-            zero_grads(self.params)
-            backward(loss)
-            del loss  # the spent graph goes before the next step builds its own
-            adam_step(self.params, self.adam, lr)
-
-            record = {"step": step, "lr": lr, "mvlm_loss": metrics["mvlm_loss"]}
-            if self.use_cpc:
-                record["cpc_loss"] = metrics["cpc_loss"]
-                record["cpc_acc"] = metrics["cpc_acc"]
+        for record in train(self.params, self.adam, self.train_cfg, self._step_loss,
+                            range(self.start_step, last), ("dropout",), metrics_log):
             history.append(record)
-            if metrics_log is not None:
-                metrics_log.write(record)
-
+            step = record["step"]
             if self.pre_cfg.eval_every and (step + 1) % self.pre_cfg.eval_every == 0:
                 ev = self.evaluate_heldout()
                 ev["step"] = step
@@ -255,7 +257,7 @@ class Pretrainer:
                     eval_log.write(ev)
                 logger.info(
                     "step %d/%d loss=%.4f %s (%.1fs)", step + 1,
-                    self.train_cfg.steps, metrics["mvlm_loss"],
+                    self.train_cfg.steps, record["mvlm_loss"],
                     " ".join(f"{k}={v:.4f}" for k, v in ev.items() if k != "step"),
                     time.time() - t0,
                 )

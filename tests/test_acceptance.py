@@ -21,9 +21,7 @@ from cellformer.documents import encode_document
 from cellformer.gradcheck import REL_TOL, run_grad_check
 from cellformer.metrics import anls, anls_single, decode_bies, word_f1
 from cellformer.model import ModelConfig
-from cellformer.pretrain import (
-    PretrainConfig, area_of, derive_rng, sample_cpc, sample_mvlm,
-)
+from cellformer.pretrain import area_of, derive_rng, sample_cpc, sample_mvlm
 from cellformer.synth import SynthConfig, gen_pretrain_doc
 from cellformer.vocab import MASK_ID, Vocab
 
@@ -134,7 +132,6 @@ def test_criterion_1_gradient_oracle(pipe):
 
 
 def test_criterion_2_sampler_statistics(pipe):
-    cfg = PretrainConfig()
     mc = ModelConfig(vocab_size=len(pipe.vocab))
     seqs = [encode_document(d, pipe.vocab, mc.max_len, "cell")
             for d in pipe.docs[:400]]
@@ -147,7 +144,7 @@ def test_criterion_2_sampler_statistics(pipe):
         seq = seqs[trial % len(seqs)]
         rng = derive_rng(SEED, "stats", trial)
         trial += 1
-        ids, labels, positions = sample_mvlm(seq, cfg, len(pipe.vocab), rng)
+        ids, labels, positions = sample_mvlm(seq, len(pipe.vocab), rng)
         eligible = int(seq.content_mask().sum())
         token_draws += eligible
         selected += len(positions)
@@ -158,7 +155,7 @@ def test_criterion_2_sampler_statistics(pipe):
                 kept += 1
             else:
                 randomized += 1
-        boxes, cpc_labels, chosen = sample_cpc(seq, positions, cfg, 16, rng)
+        boxes, cpc_labels, chosen = sample_cpc(seq, positions, 16, rng)
         masked_cells = {int(seq.cell_index[p]) for p in positions}
         present = len(np.unique(seq.cell_index[seq.cell_index >= 0]))
         cell_draws += present - len(masked_cells)

@@ -121,6 +121,29 @@ def test_flag_overrides_config_file(tmp_path, capsys):
     assert len((out / "pretrain_docs.jsonl").read_text().splitlines()) == 9
 
 
+def test_config_file_and_flags_are_checked_once_merged(pipeline, tmp_path, capsys):
+    _, out, _ = pipeline
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("max_pairs=4\n")
+    gen_args = ["gen-corpus", "--config", str(cfg)] + TINY_GEN[:8]
+    assert main(gen_args + ["--out", str(tmp_path / "g"), "--min-pairs", "3"]) == 0
+    assert {"min_pairs=3", "max_pairs=4"} <= set(capsys.readouterr().out.split())
+    # out of range once merged: one line, before any file
+    assert main(gen_args + ["--out", str(tmp_path / "x"), "--min-pairs", "5"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: "), err
+    assert not (tmp_path / "x").exists()
+
+    cfg.write_text("num_heads=3\n")
+    assert main([
+        "pretrain", "--config", str(cfg), "--corpus", str(out / "pretrain_docs.jsonl"),
+        "--vocab", str(out / "vocab.txt"), "--out", str(tmp_path / "p"),
+        "--steps", "2", "--batch-size", "4", "--eval-every", "0", "--hidden-d", "48",
+        "--num-layers", "1", "--ffn-d", "32", "--max-len", "64",
+    ]) == 0
+    assert {"num_heads=3", "hidden_d=48"} <= set(capsys.readouterr().out.split())
+
+
 def test_missing_data_file_is_exit_2(tmp_path, capsys):
     assert main(["pretrain", "--corpus", str(tmp_path / "nope.jsonl"),
                  "--vocab", str(tmp_path / "nope.txt"),
@@ -342,19 +365,6 @@ def test_pretrain_stop_outside_the_run_is_config_error(pipeline, tmp_path, capsy
     assert not (tmp_path / "r").exists()
 
 
-def test_pretrain_mask_token_frac_alone_keeps_the_remainder(pipeline, tmp_path,
-                                                            capsys):
-    _, out, _ = pipeline
-    code = main([
-        "pretrain", "--corpus", str(out / "pretrain_docs.jsonl"),
-        "--vocab", str(out / "vocab.txt"), "--out", str(tmp_path / "m"),
-        "--steps", "2", "--batch-size", "4", "--eval-every", "0",
-        "--seed", "11", "--mask-token-frac", "0.7",
-    ] + TINY_MODEL)
-    assert code == 0
-    assert "mask_token_frac=0.7" in capsys.readouterr().out
-
-
 @pytest.mark.parametrize("command", ["pretrain", "finetune"])
 @pytest.mark.parametrize("bad", ["nan-box", "string-page-width"])
 def test_malformed_document_is_exit_2(pipeline, tmp_path, capsys, command, bad):
@@ -436,6 +446,11 @@ REMOVED_FLAGS = [
     ("finetune", ["--stop-after", "2"]), ("finetune", ["--eval-every", "1"]),
     ("finetune", ["--heldout-every", "3"]), ("finetune", ["--max-answer-len", "99"]),
     ("ablate", ["--stop-after", "2"]), ("ablate", ["--max-answer-len", "99"]),
+] + [
+    # the corruption recipe and the warmup share are constants
+    (command, [flag, "0.5"]) for command in ("pretrain", "ablate")
+    for flag in ("--mask-rate", "--mask-token-frac", "--random-frac",
+                 "--cell-select-rate", "--zero-box-frac", "--warmup-frac")
 ]
 
 
@@ -456,10 +471,8 @@ def test_removed_flags_are_rejected(pipeline, tmp_path, capsys, command, flag):
 MODEL_SETTINGS = {"num_layers", "num_heads", "hidden_d", "ffn_d", "max_len",
                   "num_areas", "num_doc_classes", "layout_mode", "dropout",
                   "layer_norm_eps"}
-TRAIN_SETTINGS = {"steps", "batch_size", "lr", "warmup_frac", "seed", "precision"}
-OBJECTIVE_SETTINGS = {"mask_rate", "mask_token_frac", "random_frac",
-                      "cell_select_rate", "zero_box_frac", "eval_every",
-                      "heldout_every"}
+TRAIN_SETTINGS = {"steps", "batch_size", "lr", "seed", "precision"}
+OBJECTIVE_SETTINGS = {"eval_every", "heldout_every"}
 SYNTH_SETTINGS = {"seed", "num_docs", "num_form_docs", "num_qa_docs",
                   "num_cls_docs", "min_pairs", "max_pairs"}
 SETTINGS = {
@@ -478,8 +491,8 @@ OTHER_ARGUMENTS = {
 }
 
 
-@pytest.mark.parametrize("command,count", [("gen-corpus", 7), ("pretrain", 24),
-                                           ("finetune", 16), ("ablate", 21)])
+@pytest.mark.parametrize("command,count", [("gen-corpus", 7), ("pretrain", 18),
+                                           ("finetune", 15), ("ablate", 15)])
 def test_each_command_takes_only_the_settings_it_reads(command, count):
     (commands,) = [a for a in build_parser()._actions
                    if isinstance(a, argparse._SubParsersAction)]
@@ -563,7 +576,7 @@ def test_ablate_prints_only_the_settings_it_uses(pipeline, tmp_path, capsys, var
     assert "steps" not in shown and "layout_mode" not in shown
     assert {"lr", "hidden_d"} <= shown and "finetune_steps=2" in text.split()
     pretrains = variants != "no_pretrain"
-    assert ("mask_rate" in shown) == pretrains
+    assert ("eval_every" in shown) == pretrains
     assert ("pretrain_steps=2" in text.split()) == pretrains
 
 
@@ -663,6 +676,8 @@ def test_finetune_report_and_init_variants(pipeline, tmp_path, capsys,
     for key in ("precision=", "recall=", "f1=", "seed=11", "task=tagging"):
         assert key in report
     assert "blas_threads=default" in report.splitlines()
+    # settings exactly, as the resolved configuration echoes them
+    assert {"model.layer_norm_eps=1e-12", "train.lr=0.002"} <= set(report.splitlines())
     # metrics echoed to 4 decimals
     f1_line = [l for l in report.splitlines() if l.startswith("f1=")][0]
     assert len(f1_line.split("=")[1].split(".")[1]) == 4
@@ -727,7 +742,8 @@ def test_ablate_tiny_matrix(pipeline, tmp_path, monkeypatch):
         "--form-labels", str(out / "form_labels.jsonl"),
         "--out", str(ab), "--variants", "full,word_level,no_pretrain",
         "--pretrain-steps", "4", "--finetune-steps", "4",
-        "--batch-size", "4", "--seed", "11", "--eval-every", "0",
+        "--batch-size", "4", "--seed", "11", "--eval-every", "2",
+        "--heldout-every", "6",
     ] + TINY_MODEL)
     assert code == 0
     table = (ab / "ablation.txt").read_text().splitlines()
@@ -743,6 +759,12 @@ def test_ablate_tiny_matrix(pipeline, tmp_path, monkeypatch):
         assert "train.batch_size=4" in report and "train.steps=4" in report
         layout = "word" if variant == "word_level" else "cell"
         assert f"model.layout_mode={layout}" in report
+    # each pre-training variant keeps the held-out evaluations it ran
+    for variant in ("full", "word_level"):
+        evals = read_metrics(ab / variant / "pretrain_eval.jsonl")
+        assert [e["step"] for e in evals] == [1, 3]
+        assert all(set(e) == {"step", "eval_mvlm_loss", "eval_cpc_acc"} for e in evals)
+    assert not (ab / "no_pretrain" / "pretrain_eval.jsonl").exists()
 
 
 def test_ablate_variant_does_not_depend_on_its_neighbours(pipeline, tmp_path):
@@ -757,11 +779,12 @@ def test_ablate_variant_does_not_depend_on_its_neighbours(pipeline, tmp_path):
             "--form-labels", str(out / "form_labels.jsonl"),
             "--out", str(ab), "--variants", variants,
             "--pretrain-steps", "4", "--finetune-steps", "4",
-            "--batch-size", "4", "--seed", "11", "--eval-every", "0",
+            "--batch-size", "4", "--seed", "11", "--eval-every", "2",
+            "--heldout-every", "6",
         ] + TINY_MODEL) == 0
         runs[name] = ab / "full"
-    for name in ("pretrain_metrics.jsonl", "pretrain.ckpt", "finetune_metrics.jsonl",
-                 "finetune.ckpt"):
+    for name in ("pretrain_metrics.jsonl", "pretrain_eval.jsonl", "pretrain.ckpt",
+                 "finetune_metrics.jsonl", "finetune.ckpt"):
         assert (runs["alone"] / name).read_bytes() == (runs["matrix"] / name).read_bytes(), name
     reports = [
         [l for l in (runs[r] / "report.txt").read_text().splitlines()

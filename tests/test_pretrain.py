@@ -4,6 +4,7 @@ a brute-force oracle, and the combined loss."""
 import numpy as np
 import pytest
 
+from cellformer import pretrain
 from cellformer.autograd import Tensor
 from cellformer.documents import TokenizedSequence, encode_document
 from cellformer.pretrain import (
@@ -92,14 +93,13 @@ VOCAB_SIZE = 64
 
 
 def test_mvlm_statistics():
-    cfg = PretrainConfig()
     seq = make_seq(n_cells=40, tokens_per_cell=5)
     n_eligible = int(seq.content_mask().sum())
     trials = max(1, 120_000 // n_eligible)
     selected = masked = randomized = kept = 0
     for t in range(trials):
         rng = derive_rng(42, "mvlm", t)
-        ids, labels, positions = sample_mvlm(seq, cfg, VOCAB_SIZE, rng)
+        ids, labels, positions = sample_mvlm(seq, VOCAB_SIZE, rng)
         selected += len(positions)
         for p in positions:
             if ids[p] == MASK_ID:
@@ -117,11 +117,10 @@ def test_mvlm_statistics():
 
 
 def test_mvlm_leaves_boxes_untouched_and_specials_unselected():
-    cfg = PretrainConfig()
     seq = make_seq()
     before = seq.boxes.copy()
     for t in range(50):
-        ids, labels, positions = sample_mvlm(seq, cfg, VOCAB_SIZE,
+        ids, labels, positions = sample_mvlm(seq, VOCAB_SIZE,
                                              derive_rng(1, t))
         assert np.array_equal(seq.boxes, before)
         assert all(seq.cell_index[p] >= 0 for p in positions)
@@ -131,20 +130,19 @@ def test_mvlm_leaves_boxes_untouched_and_specials_unselected():
 
 
 def test_mvlm_labels_exactly_at_selected_positions():
-    cfg = PretrainConfig()
     seq = make_seq()
-    ids, labels, positions = sample_mvlm(seq, cfg, VOCAB_SIZE, derive_rng(2, 0))
+    ids, labels, positions = sample_mvlm(seq, VOCAB_SIZE, derive_rng(2, 0))
     labeled = set(np.nonzero(labels != IGNORE_LABEL)[0].tolist())
     assert labeled == set(positions.tolist())
     for p in positions:
         assert labels[p] == seq.token_ids[p]
 
 
-def test_mvlm_forces_at_least_one_selection():
-    cfg = PretrainConfig(mask_rate=1e-9)
+def test_mvlm_forces_at_least_one_selection(monkeypatch):
+    monkeypatch.setattr(pretrain, "MASK_RATE", 1e-9)
     seq = make_seq(n_cells=1, tokens_per_cell=2)
     for t in range(20):
-        _, _, positions = sample_mvlm(seq, cfg, VOCAB_SIZE, derive_rng(3, t))
+        _, _, positions = sample_mvlm(seq, VOCAB_SIZE, derive_rng(3, t))
         assert len(positions) >= 1
 
 
@@ -152,12 +150,11 @@ def test_mvlm_forces_at_least_one_selection():
 
 
 def test_cpc_never_selects_masked_cells():
-    cfg = PretrainConfig()
     seq = make_seq(n_cells=20)
     for t in range(200):
         rng = derive_rng(5, t)
-        _, _, positions = sample_mvlm(seq, cfg, VOCAB_SIZE, rng)
-        _, labels, cells = sample_cpc(seq, positions, cfg, 16, rng)
+        _, _, positions = sample_mvlm(seq, VOCAB_SIZE, rng)
+        _, labels, cells = sample_cpc(seq, positions, 16, rng)
         masked_cells = {int(seq.cell_index[p]) for p in positions}
         assert masked_cells.isdisjoint(cells.tolist())
         for c in cells:
@@ -166,14 +163,13 @@ def test_cpc_never_selects_masked_cells():
 
 
 def test_cpc_statistics():
-    cfg = PretrainConfig()
     seq = make_seq(n_cells=50, tokens_per_cell=2)
     eligible = selected = zeroed = 0
     no_mask = np.empty(0, dtype=np.int64)
     trials = 1200
     for t in range(trials):
         rng = derive_rng(6, t)
-        boxes, labels, cells = sample_cpc(seq, no_mask, cfg, 16, rng)
+        boxes, labels, cells = sample_cpc(seq, no_mask, 16, rng)
         eligible += 50
         selected += len(cells)
         for c in cells:
@@ -184,10 +180,11 @@ def test_cpc_statistics():
     assert abs(zeroed / selected - 0.90) < 0.012
 
 
-def test_cpc_labels_from_original_box_not_zeroed():
-    cfg = PretrainConfig(cell_select_rate=1.0, zero_box_frac=1.0)
+def test_cpc_labels_from_original_box_not_zeroed(monkeypatch):
+    monkeypatch.setattr(pretrain, "CELL_SELECT_RATE", 1.0)
+    monkeypatch.setattr(pretrain, "ZERO_BOX_FRAC", 1.0)
     seq = make_seq(n_cells=6)
-    boxes, labels, cells = sample_cpc(seq, np.empty(0, dtype=np.int64), cfg, 16,
+    boxes, labels, cells = sample_cpc(seq, np.empty(0, dtype=np.int64), 16,
                                       derive_rng(7, 0))
     assert len(cells) == 6
     for c in cells:
@@ -214,10 +211,9 @@ def synth_sequences(n=10):
 
 
 def test_example_disjointness_and_label_conservation():
-    cfg = PretrainConfig()
     seqs, vocab = synth_sequences(10)
     for t, seq in enumerate(seqs * 5):
-        ex = make_pretrain_example(seq, cfg, len(vocab), 16, derive_rng(8, t))
+        ex = make_pretrain_example(seq, len(vocab), 16, derive_rng(8, t))
         mvlm_positions = set(ex.masked_token_positions.tolist())
         cpc_positions = set(
             np.nonzero(ex.cpc_labels != IGNORE_LABEL)[0].tolist()
@@ -236,11 +232,10 @@ def test_example_disjointness_and_label_conservation():
 
 
 def test_example_seeded_determinism():
-    cfg = PretrainConfig()
     seqs, vocab = synth_sequences(3)
     for seq in seqs:
-        a = make_pretrain_example(seq, cfg, len(vocab), 16, derive_rng(9, seq.doc_id))
-        b = make_pretrain_example(seq, cfg, len(vocab), 16, derive_rng(9, seq.doc_id))
+        a = make_pretrain_example(seq, len(vocab), 16, derive_rng(9, seq.doc_id))
+        b = make_pretrain_example(seq, len(vocab), 16, derive_rng(9, seq.doc_id))
         for field in ("token_ids", "boxes", "mvlm_labels", "cpc_labels",
                       "masked_token_positions", "selected_cell_indices"):
             assert np.array_equal(getattr(a, field), getattr(b, field))
@@ -297,16 +292,3 @@ def test_config_rejects_negative_intervals_and_holding_out_every_document(bad):
         PretrainConfig(**bad)
     PretrainConfig(eval_every=0, heldout_every=0)
     PretrainConfig(heldout_every=2)
-
-
-def test_config_fraction_validation():
-    with pytest.raises(ValueError):
-        PretrainConfig(mask_token_frac=0.95)  # + random_frac 0.1 > 1
-    with pytest.raises(ValueError):
-        PretrainConfig(mask_token_frac=-0.1)
-    with pytest.raises(ValueError):
-        PretrainConfig(zero_box_frac=1.5)
-    with pytest.raises(ValueError):
-        PretrainConfig(zero_box_frac=-0.5)
-    PretrainConfig(mask_token_frac=0.7)  # keeps the remaining 0.2
-    PretrainConfig(mask_token_frac=0.9, random_frac=0.1, zero_box_frac=1.0)

@@ -368,7 +368,7 @@ def test_a_float32_loss_makes_no_float64_array(task, vocab, model_cfg, monkeypat
     if task == "pretrain":
         seqs = [encode_document(ex.doc, vocab, mc.max_len)
                 for ex in gen_form_dataset(SYNTH, 4)]
-        examples = [make_pretrain_example(s, PretrainConfig(), len(vocab), mc.num_areas,
+        examples = [make_pretrain_example(s, len(vocab), mc.num_areas,
                                           derive_rng(0, s.doc_id))
                     for s in seqs]
         params = M.init_parameters(mc, derive_rng(0, "init"), dtype=np.float32)
