@@ -315,15 +315,14 @@ def gather_rows(x: Tensor, index) -> Tensor:
                           lambda g: (_scatter(g, index, shape),))
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor, index, bias: np.ndarray, n_heads: int,
-              p: float = 0.0, rng: Optional[np.random.Generator] = None) -> Tensor:
+def attention(q: Tensor, k: Tensor, v: Tensor, index, bias: np.ndarray,
+              n_heads: int) -> Tensor:
     """Multi-head scaled dot-product attention from packed rows [N, d] at
     `index` to packed rows [N, d]. `bias` [B, 1, 1, L], the additive key
     mask, gives the padded layout [B, H, L, d / H] that the heads are
     scattered into, zero at pad; that layout exists only inside this op.
-    The weights softmax(q k^T / sqrt(d / H) + bias) are dropped out at rate
-    `p` with a mask from `rng`; a pad key gets weight exactly 0, as any
-    masked key does."""
+    In the weights softmax(q k^T / sqrt(d / H) + bias) a pad key gets
+    weight exactly 0, as any masked key does."""
     if not q.shape == k.shape == v.shape:
         raise ShapeError(f"attention: q, k, v differ: {q.shape}, {k.shape}, {v.shape}")
     n, d = q.shape
@@ -341,16 +340,12 @@ def attention(q: Tensor, k: Tensor, v: Tensor, index, bias: np.ndarray, n_heads:
     y -= y.max(axis=-1, keepdims=True)
     np.exp(y, out=y)
     y /= y.sum(axis=-1, keepdims=True)
-    mask = _dropout_mask(y.shape, y.dtype, p, rng)
-    weights = y if mask is None else y * mask
-    out = (weights @ vh).swapaxes(1, 2)[index].reshape(n, d)
+    out = (y @ vh).swapaxes(1, 2)[index].reshape(n, d)
 
     def back(g):
         g = _scatter(g, index, shape).swapaxes(1, 2)
         dw = g @ vh.swapaxes(-1, -2)
-        dv = weights.swapaxes(-1, -2) @ g
-        if mask is not None:
-            dw *= mask
+        dv = y.swapaxes(-1, -2) @ g
         # softmax: (dw - sum(dw * y)) * y, then the scale
         ds = dw * y
         np.subtract(dw, ds.sum(axis=-1, keepdims=True), out=ds)
@@ -419,26 +414,6 @@ def softmax_cross_entropy(logits: Tensor, targets, ignore_label: int = -100) -> 
         return (grad.reshape(logits.shape),)
 
     return Tensor._result(np.asarray(loss), (logits,), back)
-
-
-def _dropout_mask(shape: tuple, dtype, p: float, rng) -> Optional[np.ndarray]:
-    """The scaled keep-mask of inverted dropout at rate `p`, drawn from
-    `rng`; None when p == 0."""
-    if p == 0.0:
-        return None
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"dropout rate must be in [0, 1), got {p}")
-    if rng is None:
-        raise ValueError("dropout with p > 0 needs an explicit rng for determinism")
-    return (rng.random(shape) >= p).astype(dtype) / (1.0 - p)
-
-
-def dropout(x: Tensor, p: float, rng: Optional[np.random.Generator] = None) -> Tensor:
-    """Inverted dropout; p == 0 returns the input tensor unchanged."""
-    mask = _dropout_mask(x.shape, x.data.dtype, p, rng)
-    if mask is None:
-        return x
-    return Tensor._result(x.data * mask, (x,), lambda g: (g * mask,))
 
 
 # ---------------------------------------------------------------------------

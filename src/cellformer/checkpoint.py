@@ -21,7 +21,7 @@ from .model import ModelConfig, heads_present, parameter_shapes
 from .optim import AdamState
 
 MAGIC = "CELLFORMER-CKPT"
-VERSION = 2
+VERSION = 3
 
 _DTYPE_CODES = {"float64": "<f8", "float32": "<f4"}
 

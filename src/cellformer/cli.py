@@ -197,7 +197,7 @@ def cmd_pretrain(args) -> int:
         history = trainer.run(metrics_log=mlog, eval_log=elog, stop_after=stop)
     save_checkpoint(out / "checkpoint.ckpt", trainer.to_checkpoint(step=stop))
 
-    final = trainer.evaluate_heldout()
+    final = trainer.final_heldout()
     if history:
         print(f"final mvlm loss: {history[-1]['mvlm_loss']:.4f}")
     for key, value in final.items():
@@ -236,9 +236,8 @@ def cmd_finetune(args) -> int:
         params, report = finetune(task, train_set, eval_set, vocab, model_cfg,
                                   train_cfg, init=init, metrics_log=mlog)
 
-    fields = {"task": task, "init": args.init, "seed": train_cfg.seed,
-              "blas_threads": _blas_threads(), **_settings_fields(model_cfg, train_cfg),
-              **report}
+    fields = {"task": task, "init": args.init, "blas_threads": _blas_threads(),
+              **_settings_fields(model_cfg, train_cfg), **report}
     write_report(out / "report.txt", fields)
 
     save_checkpoint(out / "checkpoint.ckpt",
@@ -383,8 +382,8 @@ def _run_variant(variant, docs, vocab, model_cfg, pt_cfg, ft_cfg, pre_cfg,
     layout = "word" if variant == "word_level" else "cell"
     vcfg = dataclasses.replace(model_cfg, layout_mode=layout)
     init = None
-    fields = {"variant": variant, "seed": ft_cfg.seed,
-              "blas_threads": _blas_threads(), **_settings_fields(vcfg, ft_cfg)}
+    fields = {"variant": variant, "blas_threads": _blas_threads(),
+              **_settings_fields(vcfg, ft_cfg)}
     if variant != "no_pretrain":
         t0 = time.time()
         trainer = Pretrainer(docs, vocab, vcfg, pt_cfg, pre_cfg,
@@ -394,7 +393,7 @@ def _run_variant(variant, docs, vocab, model_cfg, pt_cfg, ft_cfg, pre_cfg,
             trainer.run(metrics_log=mlog, eval_log=elog)
         init = trainer.to_checkpoint()
         save_checkpoint(vdir / "pretrain.ckpt", init)
-        fields.update(trainer.evaluate_heldout())
+        fields.update(trainer.final_heldout())
         fields["pretrain_seconds"] = time.time() - t0
 
     t0 = time.time()

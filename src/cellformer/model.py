@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -42,8 +41,6 @@ class ModelConfig:
     num_areas: int = 16
     num_doc_classes: int = 3
     layout_mode: str = CELL_LEVEL
-    dropout: float = 0.0
-    layer_norm_eps: float = 1e-12
 
     def __post_init__(self):
         check_layout_mode(self.layout_mode)
@@ -53,11 +50,6 @@ class ModelConfig:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         if self.max_len < 3:
             raise ValueError(f"max_len must be at least 3, got {self.max_len}")
-        if not 0.0 <= self.dropout < 1.0:
-            raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
-        if not 0.0 < self.layer_norm_eps < math.inf:
-            raise ValueError(f"layer_norm_eps must be positive and finite, "
-                             f"got {self.layer_norm_eps}")
         if self.hidden_d % self.num_heads != 0:
             raise ValueError(
                 f"hidden_d {self.hidden_d} not divisible by num_heads {self.num_heads}"
@@ -162,14 +154,11 @@ def layout_contribution(params: dict[str, Tensor], boxes: np.ndarray) -> Tensor:
 
 def input_embedding(
     params: dict[str, Tensor],
-    config: ModelConfig,
     token_ids: np.ndarray,
     positions: np.ndarray,
     boxes: np.ndarray,
-    rng: Optional[np.random.Generator] = None,
 ) -> Tensor:
-    """Word + 1D-position + summed 2D-position embeddings, layer-normed,
-    then dropped out with masks from `rng` (no rng: no dropout).
+    """Word + 1D-position + summed 2D-position embeddings, layer-normed.
 
     Takes one entry per token: `token_ids` and their sequence `positions`
     are [N] (or any matching shape), and `boxes` adds a trailing axis of 4.
@@ -177,10 +166,7 @@ def input_embedding(
     words = ag.embedding_gather(params["word_emb"], token_ids)
     pos = ag.embedding_gather(params["pos1d_emb"], positions)
     summed = words + pos + layout_contribution(params, boxes)
-    out = ag.layer_norm(
-        summed, params["emb_ln_g"], params["emb_ln_b"], config.layer_norm_eps
-    )
-    return ag.dropout(out, config.dropout if rng is not None else 0.0, rng)
+    return ag.layer_norm(summed, params["emb_ln_g"], params["emb_ln_b"])
 
 
 def _attention_bias(attn_mask: np.ndarray, dtype) -> np.ndarray:
@@ -195,16 +181,13 @@ def encode(
     token_ids: np.ndarray,
     boxes: np.ndarray,
     attn_mask: np.ndarray,
-    rng: Optional[np.random.Generator] = None,
 ) -> Tensor:
     """Full encoder stack over a batch; returns the hidden states of its
     real tokens as packed rows [N, d], N = attn_mask.sum(), in row-major
     order of attn_mask's True positions.
 
     `attn_mask` is [B, L] boolean, False at [PAD] positions; pad keys are
-    excluded from every attention softmax. Training forwards pass `rng`,
-    which draws the dropout masks; without one (evaluation, prediction,
-    the gradient check) no dropout is applied.
+    excluded from every attention softmax.
 
     The stack runs on the real tokens alone, packed into rows [N, d] in
     row-major order of their positions: the input embedding, the Q/K/V/O
@@ -224,31 +207,22 @@ def encode(
     attn_mask = attn_mask[:, :seq_len]
     real = np.nonzero(attn_mask)  # (row, position) of each packed token
 
-    drop = config.dropout if rng is not None else 0.0
-    h = input_embedding(params, config, token_ids[real], real[1], boxes[real], rng)
+    h = input_embedding(params, token_ids[real], real[1], boxes[real])
     bias = _attention_bias(attn_mask, h.data.dtype)
 
     for i in range(config.num_layers):
         pre = f"layer{i}."
         q, k, v = (ag.linear(h, params[pre + n + "_w"], params[pre + n + "_b"])
                    for n in "qkv")
-        ctx = ag.attention(q, k, v, real, bias, config.num_heads, drop, rng)
-        attn_out = ag.dropout(
-            ag.linear(ctx, params[pre + "o_w"], params[pre + "o_b"]), drop, rng,
-        )
-        h = ag.layer_norm(
-            h + attn_out, params[pre + "ln1_g"], params[pre + "ln1_b"],
-            config.layer_norm_eps,
-        )
+        ctx = ag.attention(q, k, v, real, bias, config.num_heads)
+        attn_out = ag.linear(ctx, params[pre + "o_w"], params[pre + "o_b"])
+        h = ag.layer_norm(h + attn_out, params[pre + "ln1_g"], params[pre + "ln1_b"])
 
         ffn = ag.linear(
             ag.gelu(ag.linear(h, params[pre + "f1_w"], params[pre + "f1_b"])),
             params[pre + "f2_w"], params[pre + "f2_b"],
         )
-        h = ag.layer_norm(
-            h + ag.dropout(ffn, drop, rng),
-            params[pre + "ln2_g"], params[pre + "ln2_b"], config.layer_norm_eps,
-        )
+        h = ag.layer_norm(h + ffn, params[pre + "ln2_g"], params[pre + "ln2_b"])
     return h
 
 

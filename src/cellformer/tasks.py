@@ -89,11 +89,11 @@ def tagging_items(examples, vocab: Vocab, model_cfg: M.ModelConfig):
             for s, ex in zip(seqs, examples)]
 
 
-def tagging_loss(params, model_cfg: M.ModelConfig, items, rng=None) -> Tensor:
+def tagging_loss(params, model_cfg: M.ModelConfig, items) -> Tensor:
     """Token cross-entropy at each word's first subword; the head runs on
     those rows alone."""
     token_ids, boxes, mask = stack_batch([s for s, _ in items])
-    rows = M.encode(params, model_cfg, token_ids, boxes, mask, rng=rng)
+    rows = M.encode(params, model_cfg, token_ids, boxes, mask)
     tagged, targets = labeled_rows(rows, np.stack([labels for _, labels in items])[mask])
     return ag.softmax_cross_entropy(M.head_tag(params, tagged), targets)
 
@@ -250,12 +250,12 @@ def qa_items(examples, vocab: Vocab, model_cfg: M.ModelConfig):
     return items
 
 
-def qa_loss(params, model_cfg: M.ModelConfig, items, rng=None) -> Tensor:
+def qa_loss(params, model_cfg: M.ModelConfig, items) -> Tensor:
     """Mean of the start and end cross-entropies, each softmax taken over
     the window's document positions only."""
     wins = [w for w, _, _ in items]
     token_ids, boxes, mask = stack_batch(wins)
-    rows = M.encode(params, model_cfg, token_ids, boxes, mask, rng=rng)
+    rows = M.encode(params, model_cfg, token_ids, boxes, mask)
     # the softmax runs over a window's positions, so the span logits go back
     # to the padded layout [B, L, 2], read as [B, 2, L]: start and end rows
     span = ag.scatter_rows(M.head_span(params, rows), np.nonzero(mask), mask.shape + (2,))
@@ -313,11 +313,11 @@ def classification_items(examples, vocab: Vocab, model_cfg: M.ModelConfig):
     return [(s, ex.label) for s, ex in zip(seqs, examples)]
 
 
-def classification_loss(params, model_cfg: M.ModelConfig, items, rng=None) -> Tensor:
+def classification_loss(params, model_cfg: M.ModelConfig, items) -> Tensor:
     """Cross-entropy of the document class read at [CLS]; the head runs on
     the [CLS] rows alone."""
     token_ids, boxes, mask = stack_batch([s for s, _ in items])
-    rows = M.encode(params, model_cfg, token_ids, boxes, mask, rng=rng)
+    rows = M.encode(params, model_cfg, token_ids, boxes, mask)
     labels = np.full(mask.shape, IGNORE_LABEL)
     labels[:, 0] = [label for _, label in items]
     cls_rows, targets = labeled_rows(rows, labels[mask])
@@ -344,7 +344,7 @@ class Task(NamedTuple):
     head: str
     read: Callable  # (documents path, labels path) -> examples
     items: Callable  # (examples, vocab, model config) -> training items
-    loss: Callable  # (params, model config, items, rng) -> scalar loss
+    loss: Callable  # (params, model config, items) -> scalar loss
     score: Callable  # (params, examples, vocab, model config, batch size) -> report
 
 
@@ -368,8 +368,7 @@ def finetune(
     metrics_log=None,
 ) -> tuple[dict[str, Tensor], dict]:
     """Train the task head + encoder on the task loss; report the task
-    metric on the eval split. Deterministic given the seed; the dropout
-    masks of step k come from (seed, "dropout", task, k)."""
+    metric on the eval split. Deterministic given the seed."""
     if not train_examples:
         raise ValueError("empty training dataset")
     if task == "classification":
@@ -383,13 +382,13 @@ def finetune(
     items = spec.items(train_examples, vocab, model_cfg)
     sampler = IndexSampler(len(items), train_cfg.seed)
 
-    def step_loss(step, rng):
+    def step_loss(step):
         batch = [items[i] for i, _ in sampler.batch(step, train_cfg.batch_size)]
-        loss = spec.loss(params, model_cfg, batch, rng=rng)
+        loss = spec.loss(params, model_cfg, batch)
         return loss, {"loss": loss.item()}
 
     for _ in train(params, init_adam(params), train_cfg, step_loss,
-                   range(train_cfg.steps), ("dropout", task), metrics_log):
+                   range(train_cfg.steps), metrics_log):
         pass
 
     report = evaluate(task, params, eval_examples, vocab, model_cfg, train_cfg)

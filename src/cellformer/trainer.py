@@ -67,16 +67,14 @@ def lr_at(step: int, cfg: TrainConfig) -> float:
 
 
 def train(params: dict[str, Tensor], adam: AdamState, cfg: TrainConfig, step_loss: Callable,
-          steps: Iterable[int], stream: tuple, metrics_log=None) -> Iterator[dict]:
+          steps: Iterable[int], metrics_log=None) -> Iterator[dict]:
     """Run one optimizer step per step of `steps`, yielding each step's
     record `{"step", "lr", **fields}` once it is written to `metrics_log`.
 
-    `step_loss(step, rng)` builds the step's scalar loss and the fields it
-    logs; `rng`, the stream (cfg.seed, *stream, step), draws the dropout
-    masks."""
+    `step_loss(step)` builds the step's scalar loss and the fields it logs."""
     for step in steps:
         lr = lr_at(step, cfg)
-        loss, fields = step_loss(step, derive_rng(cfg.seed, *stream, step))
+        loss, fields = step_loss(step)
         zero_grads(params)
         backward(loss)
         del loss  # the spent graph goes before the next step builds its own
@@ -121,12 +119,11 @@ def pretrain_batch_loss(
     model_cfg: M.ModelConfig,
     examples: Sequence[PretrainExample],
     use_cpc: bool,
-    rng: Optional[np.random.Generator] = None,
 ) -> tuple[Tensor, dict]:
     """Joint MVLM (+ CPC) loss and its metrics over a batch of corrupted
-    examples; `rng` draws the dropout masks of a training forward."""
+    examples."""
     token_ids, boxes, mask = stack_batch(examples)
-    rows = M.encode(params, model_cfg, token_ids, boxes, mask, rng=rng)
+    rows = M.encode(params, model_cfg, token_ids, boxes, mask)
     # each head runs on the rows that carry its labels alone
     masked, mvlm_labels = labeled_rows(
         rows, np.stack([e.mvlm_labels for e in examples])[mask])
@@ -197,6 +194,7 @@ class Pretrainer:
             self.adam = (init_adam(self.params) if resume.adam is None
                          else copy.deepcopy(resume.adam))
             self.start_step = resume.step
+        self._latest_eval: Optional[dict] = None  # set by `run`
 
     def _corrupt(self, seq, epoch: int) -> PretrainExample:
         """`seq` as corrupted in `epoch`; epoch -1 is the held-out evaluation's."""
@@ -207,10 +205,10 @@ class Pretrainer:
         return [self._corrupt(self.train_seqs[i], epoch)
                 for i, epoch in self.sampler.batch(step, self.train_cfg.batch_size)]
 
-    def _step_loss(self, step: int, rng: np.random.Generator) -> tuple[Tensor, dict]:
+    def _step_loss(self, step: int) -> tuple[Tensor, dict]:
         """The joint loss of step `step`'s batch and the metrics it logs."""
         loss, metrics = pretrain_batch_loss(self.params, self.model_cfg,
-                                            self._batch_examples(step), self.use_cpc, rng=rng)
+                                            self._batch_examples(step), self.use_cpc)
         logged = ("mvlm_loss", "cpc_loss", "cpc_acc") if self.use_cpc else ("mvlm_loss",)
         return loss, {key: metrics[key] for key in logged}
 
@@ -246,22 +244,31 @@ class Pretrainer:
         t0 = time.time()
         last = self.train_cfg.steps if stop_after is None \
             else min(stop_after, self.train_cfg.steps)
+        self._latest_eval = None
         for record in train(self.params, self.adam, self.train_cfg, self._step_loss,
-                            range(self.start_step, last), ("dropout",), metrics_log):
+                            range(self.start_step, last), metrics_log):
             history.append(record)
             step = record["step"]
+            self._latest_eval = None  # the weights have moved on
             if self.pre_cfg.eval_every and (step + 1) % self.pre_cfg.eval_every == 0:
-                ev = self.evaluate_heldout()
-                ev["step"] = step
+                self._latest_eval = self.evaluate_heldout()
+                ev = {**self._latest_eval, "step": step}
                 if eval_log is not None:
                     eval_log.write(ev)
                 logger.info(
                     "step %d/%d loss=%.4f %s (%.1fs)", step + 1,
                     self.train_cfg.steps, record["mvlm_loss"],
-                    " ".join(f"{k}={v:.4f}" for k, v in ev.items() if k != "step"),
+                    " ".join(f"{k}={v:.4f}" for k, v in self._latest_eval.items()),
                     time.time() - t0,
                 )
         return history
+
+    def final_heldout(self) -> dict:
+        """`evaluate_heldout` of the weights the last `run` ended on: the
+        evaluation that run made at its last step, or else a fresh one."""
+        if self._latest_eval is None:
+            return self.evaluate_heldout()
+        return dict(self._latest_eval)
 
     def to_checkpoint(self, step: Optional[int] = None) -> Checkpoint:
         """A snapshot over copies: training on leaves it as it is."""

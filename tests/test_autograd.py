@@ -217,11 +217,10 @@ def _bias(mask):
     return np.where(mask, 0.0, -1e9)[:, None, None, :]
 
 
-def attention_reference(q, k, v, index, mask, n_heads, keep=None):
+def attention_reference(q, k, v, index, mask, n_heads):
     """Attention written out per batch row and head over the padded layout,
-    pad keys included: softmax(Q K^T / sqrt(e) + bias) V, with the weights
-    multiplied by `keep` [B, H, L, L] when given. Returns the context at
-    `index`."""
+    pad keys included: softmax(Q K^T / sqrt(e) + bias) V. Returns the
+    context at `index`."""
     batch, seq_len = mask.shape
     d = q.shape[1]
     e = d // n_heads
@@ -236,8 +235,6 @@ def attention_reference(q, k, v, index, mask, n_heads, keep=None):
             s = Q[:, cols] @ K[:, cols].T / np.sqrt(e) + np.where(mask[b], 0.0, -1e9)
             w = np.exp(s - s.max(axis=1, keepdims=True))
             w /= w.sum(axis=1, keepdims=True)
-            if keep is not None:
-                w = w * keep[b, h]
             ctx[b, :, cols] = w @ V[:, cols]
     return ctx[index]
 
@@ -270,39 +267,25 @@ def test_attention_matches_a_numpy_reference_and_pad_keys_get_zero_weight(weight
 MASKED_KEY = [(0, 1)]
 
 
-def _attention_grads_match_fd(weighted_sum, seed, p):
-    """FD check of q, k and v through attention at rate `p`; each forward
-    draws its dropout mask from a fresh rng of the same seed."""
+def _attention_grads_match_fd(weighted_sum, seed):
+    """FD check of q, k and v through attention, inputs drawn from `seed`."""
     rng = np.random.default_rng(seed)
     q, k, v = (Tensor(rng.normal(size=(5, 6)), requires_grad=True) for _ in range(3))
     bias = _bias(_key_mask(PACKED, (2, 4), MASKED_KEY))
     w = rng.normal(size=(5, 6))
 
     def loss():
-        return weighted_sum(ag.attention(q, k, v, PACKED, bias, 3, p,
-                                         np.random.default_rng(seed)), w)
+        return weighted_sum(ag.attention(q, k, v, PACKED, bias, 3), w)
 
     zero_grads([q, k, v])
     backward(loss())
     for t in (q, k, v):
         assert_grad_close(t.grad, fd_grad(loss, t))
     assert np.all(k.grad[1] == 0.0) and np.all(v.grad[1] == 0.0)
-    return q, k, v
 
 
 def test_attention_grads_match_fd_with_a_masked_row(weighted_sum):
-    _attention_grads_match_fd(weighted_sum, 16, 0.0)
-
-
-def test_attention_dropout_grads_match_fd_with_a_fixed_rng(weighted_sum):
-    q, k, v = _attention_grads_match_fd(weighted_sum, 17, 0.4)
-    # the weights' mask is dropout's draw: rng.random([B, H, L, L]) >= p
-    mask = _key_mask(PACKED, (2, 4), MASKED_KEY)
-    keep = (np.random.default_rng(17).random((2, 3, 4, 4)) >= 0.4) / 0.6
-    assert 0 < keep.astype(bool).sum() < keep.size
-    ref = attention_reference(q.data, k.data, v.data, PACKED, mask, 3, keep)
-    out = ag.attention(q, k, v, PACKED, _bias(mask), 3, 0.4, np.random.default_rng(17))
-    assert np.allclose(out.data, ref, rtol=1e-12, atol=1e-12)
+    _attention_grads_match_fd(weighted_sum, 16)
 
 
 # The steps that were separate ops before attention owned them (the two
@@ -438,17 +421,13 @@ def test_softmax_rows_and_grad(weighted_sum):
     assert_grad_close(k.grad, fd_grad(loss, k))
 
 
-def test_attention_rejects_unequal_rows_and_indivisible_heads_and_bad_rates():
+def test_attention_rejects_unequal_rows_and_indivisible_heads():
     q = Tensor(np.zeros((5, 6)))
     bias = _bias(_key_mask(PACKED, (2, 4)))
     with pytest.raises(ShapeError, match=r"\(5, 6\).*\(5, 4\)"):
         ag.attention(q, Tensor(np.zeros((5, 4))), q, PACKED, bias, 2)
     with pytest.raises(ShapeError, match="4 heads"):
         ag.attention(q, q, q, PACKED, bias, 4)
-    with pytest.raises(ValueError, match="rate"):
-        ag.attention(q, q, q, PACKED, bias, 3, 1.0, np.random.default_rng(0))
-    with pytest.raises(ValueError, match="rng"):
-        ag.attention(q, q, q, PACKED, bias, 3, 0.1)
 
 
 # -- softmax cross entropy ----------------------------------------------------------
@@ -583,17 +562,6 @@ def test_forward_and_grad_determinism():
         return loss.data.tobytes(), x.grad.tobytes(), w.grad.tobytes()
 
     assert run() == run()
-
-
-def test_dropout_off_is_identity_and_on_is_seeded():
-    x = Tensor(np.ones((4, 4)))
-    assert ag.dropout(x, 0.0) is x
-    a = ag.dropout(x, 0.5, np.random.default_rng(3)).data
-    b = ag.dropout(x, 0.5, np.random.default_rng(3)).data
-    assert np.array_equal(a, b)
-    assert set(np.unique(a)).issubset({0.0, 2.0})
-    with pytest.raises(ValueError):
-        ag.dropout(x, 0.5)
 
 
 # -- adam -------------------------------------------------------------------------

@@ -144,17 +144,28 @@ def test_wrong_magic_and_version_raise_version_error(tmp_path):
         load_checkpoint(path)
 
 
-def test_format_1_file_raises_version_error(tmp_path):
-    """Format 1 model configs listed coord_vocab and num_tag_labels; such a
+# the model-config keys each older format had and format 3 does not
+OLDER_FORMAT_KEYS = {
+    1: {"coord_vocab": 1001, "num_tag_labels": 13, "dropout": 0.0, "layer_norm_eps": 1e-12},
+    2: {"dropout": 0.0, "layer_norm_eps": 1e-12},
+}
+
+
+@pytest.mark.parametrize("version", sorted(OLDER_FORMAT_KEYS))
+def test_older_format_file_raises_version_error(tmp_path, version):
+    """An older format's model config lists settings that are gone; such a
     file is refused by its version line, not reported as malformed."""
-    path = tmp_path / "v1.ckpt"
+    path = tmp_path / f"v{version}.ckpt"
     save_checkpoint(path, make_checkpoint())
-    rewrite_header(path, lambda h: h["model_config"].update(coord_vocab=1001,
-                                                           num_tag_labels=13))
+    rewrite_header(path, lambda h: h["model_config"].update(OLDER_FORMAT_KEYS[version]))
     blob = path.read_bytes()
-    path.write_bytes(b"CELLFORMER-CKPT 1\n" + blob.split(b"\n", 1)[1])
-    with pytest.raises(CheckpointVersionError, match="version 1, expected 2"):
+    path.write_bytes(f"CELLFORMER-CKPT {version}\n".encode() + blob.split(b"\n", 1)[1])
+    with pytest.raises(CheckpointVersionError, match=f"version {version}, expected 3"):
         load_checkpoint(path)
+    # the CLI reports it as a data error, before it reads any other input
+    assert main(["finetune", "--task", "tagging", "--docs", "x", "--labels", "y",
+                 "--init", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert not (tmp_path / "o").exists()
 
 def rewrite_header(path, edit):
     """Apply `edit` to the JSON header of a saved checkpoint in place."""

@@ -78,8 +78,8 @@ def test_zeroed_2d_tables_make_boxes_irrelevant(cfg, params):
     ids, boxes, _ = rand_inputs(cfg, rng)
     other_boxes = rng.integers(0, 1000, size=boxes.shape)
     positions = np.indices(ids.shape)[1]
-    a = M.input_embedding(params, cfg, ids, positions, boxes).data
-    b = M.input_embedding(params, cfg, ids, positions, other_boxes).data
+    a = M.input_embedding(params, ids, positions, boxes).data
+    b = M.input_embedding(params, ids, positions, other_boxes).data
     assert np.array_equal(a, b)
 
 
@@ -187,18 +187,3 @@ def test_config_validation():
         small_config(hidden_d=10, num_heads=4)
     with pytest.raises(ValueError, match="square"):
         small_config(num_areas=15)
-
-
-def test_dropout_changes_training_outputs_deterministically(cfg):
-    dropped = small_config(dropout=0.1)
-    params = M.init_parameters(dropped, derive_rng(0, "d"), heads=("mlm",))
-    rng = np.random.default_rng(7)
-    ids, boxes, attn = rand_inputs(dropped, rng)
-    a = M.encode(params, dropped, ids, boxes, attn,
-                 rng=np.random.default_rng(9)).data
-    b = M.encode(params, dropped, ids, boxes, attn,
-                 rng=np.random.default_rng(9)).data
-    c = M.encode(params, dropped, ids, boxes, attn,
-                 rng=np.random.default_rng(10)).data
-    assert np.array_equal(a, b)
-    assert not np.array_equal(a, c)

@@ -351,9 +351,9 @@ def test_predictions_do_not_depend_on_what_ran_before(vocab, model_cfg, tmp_path
 
 @pytest.mark.parametrize("task", ["pretrain", *TASKS])
 def test_a_float32_loss_makes_no_float64_array(task, vocab, model_cfg, monkeypatch):
-    """Every op output of a float32 training loss with dropout (the encoder
-    rows among them), the loss and every parameter's gradient are float32:
-    no constant on the path upcasts it."""
+    """Every op output of a float32 training loss (the encoder rows among
+    them), the loss and every parameter's gradient are float32: no
+    constant on the path upcasts it."""
     made = []
     op_result = Tensor._result
 
@@ -363,39 +363,23 @@ def test_a_float32_loss_makes_no_float64_array(task, vocab, model_cfg, monkeypat
         return out
 
     monkeypatch.setattr(Tensor, "_result", staticmethod(recording))
-    mc = dataclasses.replace(model_cfg, dropout=0.1)
-    rng = derive_rng(0, "dropout")
     if task == "pretrain":
-        seqs = [encode_document(ex.doc, vocab, mc.max_len)
+        seqs = [encode_document(ex.doc, vocab, model_cfg.max_len)
                 for ex in gen_form_dataset(SYNTH, 4)]
-        examples = [make_pretrain_example(s, len(vocab), mc.num_areas,
+        examples = [make_pretrain_example(s, len(vocab), model_cfg.num_areas,
                                           derive_rng(0, s.doc_id))
                     for s in seqs]
-        params = M.init_parameters(mc, derive_rng(0, "init"), dtype=np.float32)
-        loss, _ = pretrain_batch_loss(params, mc, examples, True, rng)
+        params = M.init_parameters(model_cfg, derive_rng(0, "init"), dtype=np.float32)
+        loss, _ = pretrain_batch_loss(params, model_cfg, examples, True)
     else:
-        params = prepare_finetune_params(mc, task, None, 0, np.float32)
+        params = prepare_finetune_params(model_cfg, task, None, 0, np.float32)
         spec = TASKS[task]
-        loss = spec.loss(params, mc, spec.items(TASK_DATA[task](SYNTH, 4), vocab, mc),
-                         rng=rng)
+        loss = spec.loss(params, model_cfg,
+                         spec.items(TASK_DATA[task](SYNTH, 4), vocab, model_cfg))
     backward(loss)
     float32 = {np.dtype(np.float32)}
     assert set(made) == float32 and loss.data.dtype == np.float32
     assert {p.grad.dtype for p in params.values() if p.grad is not None} == float32
-
-
-@pytest.mark.parametrize("task", TASKS)
-def test_finetune_with_dropout_is_seeded(task, vocab, model_cfg):
-    train, eval_ = split_train_eval(TASK_DATA[task](SYNTH, 10))
-    cfg = TrainConfig(steps=4, batch_size=2, seed=3, precision="float64")
-    dropped = dataclasses.replace(model_cfg, dropout=0.1)
-    (a, report_a), (b, report_b), (plain, _) = [
-        finetune(task, train, eval_, vocab, mc, cfg)
-        for mc in (dropped, dropped, model_cfg)
-    ]
-    assert report_a == report_b
-    assert all(np.array_equal(a[k].data, b[k].data) for k in a)
-    assert any(not np.array_equal(a[k].data, plain[k].data) for k in a)
 
 
 @pytest.mark.parametrize("task", TASKS)

@@ -166,30 +166,6 @@ def test_resume_matches_uninterrupted_run(tmp_path):
     assert resumed_hist == full[20:]
 
 
-def test_dropout_training_is_seeded_and_resumable(tmp_path):
-    docs, vocab, model_cfg = tiny_setup(12)
-    dropped = dataclasses.replace(model_cfg, dropout=0.1)
-    cfg = TrainConfig(steps=10, batch_size=4, lr=3e-3, seed=9, precision="float64")
-    pre_cfg = PretrainConfig(eval_every=5, heldout_every=6)
-    full = Pretrainer(docs, vocab, dropped, cfg, pre_cfg)
-    history = full.run()
-    assert history == Pretrainer(docs, vocab, dropped, cfg, pre_cfg).run()
-    assert history != Pretrainer(docs, vocab, model_cfg, cfg, pre_cfg).run()
-
-    short = Pretrainer(docs, vocab, dropped, cfg, pre_cfg)
-    short.run(stop_after=6)
-    path = tmp_path / "mid.ckpt"
-    save_checkpoint(path, short.to_checkpoint(step=6))
-    resumed = Pretrainer(docs, vocab, dropped, cfg, pre_cfg,
-                         resume=load_checkpoint(path))
-    assert resumed.run() == history[6:]
-
-    # the held-out evaluation runs without dropout
-    ev = full.evaluate_heldout()
-    full.model_cfg = model_cfg
-    assert full.evaluate_heldout() == ev
-
-
 def test_resume_requires_matching_precision(tmp_path):
     docs, vocab, model_cfg = tiny_setup(12)
     cfg64 = TrainConfig(steps=3, batch_size=4, seed=9, precision="float64")
