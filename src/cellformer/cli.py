@@ -227,6 +227,11 @@ def cmd_finetune(args) -> int:
 
     examples = TASKS[task].read(args.docs, args.labels)
     train_set, eval_set = _split_labelled(examples, args.labels)
+    if task == "classification":
+        for ex in examples:
+            if not 0 <= ex.label < model_cfg.num_doc_classes:
+                raise DataError(f"{args.labels}: document '{ex.doc.doc_id}': class label "
+                                f"{ex.label} outside [0, {model_cfg.num_doc_classes})")
     _print_config({"model": model_cfg, "train": train_cfg})
     print(f"task={task} train={len(train_set)} eval={len(eval_set)}")
 

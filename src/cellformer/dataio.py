@@ -169,6 +169,10 @@ def _read_examples(docs_path, labels_path, parse: Callable[[RawDocument, dict], 
     return out
 
 
+def _word_count(doc: RawDocument) -> int:
+    return sum(len(c.text.split()) for c in doc.cells)
+
+
 def _tagging_example(doc: RawDocument, record: dict) -> TaggingExample:
     labels = record["word_labels"]
     if not isinstance(labels, list):
@@ -176,7 +180,7 @@ def _tagging_example(doc: RawDocument, record: dict) -> TaggingExample:
     for tag in labels:
         if not isinstance(tag, str) or tag not in TAG_TO_ID:
             raise ValueError(f"unknown tag {tag!r}; expected one of {', '.join(TAG_LABELS)}")
-    n_words = sum(len(c.text.split()) for c in doc.cells)
+    n_words = _word_count(doc)
     if len(labels) != n_words:
         raise ValueError(f"{len(labels)} word labels for the {n_words} words of "
                          f"document '{doc.doc_id}'")
@@ -189,11 +193,16 @@ def _qa_example(doc: RawDocument, record: dict) -> QaExample:
         raise ValueError(f"'question' must be a string, got {question!r}")
     if not (isinstance(answers, list) and answers and all(isinstance(a, str) for a in answers)):
         raise ValueError(f"'answers' must be a non-empty list of strings, got {answers!r}")
-    if span is not None and not (isinstance(span, list) and len(span) == 2
-                                 and all(type(w) is int for w in span) and 0 <= span[0] <= span[1]):
-        raise ValueError(f"'span' must be null or [first word, last word], got {span!r}")
-    return QaExample(doc=doc, question=question, answers=answers,
-                     span=None if span is None else tuple(span))
+    if span is not None:
+        if not (isinstance(span, list) and len(span) == 2
+                and all(type(w) is int for w in span) and 0 <= span[0] <= span[1]):
+            raise ValueError(f"'span' must be null or [first word, last word], got {span!r}")
+        n_words = _word_count(doc)
+        if span[1] >= n_words:
+            raise ValueError(f"span {span} ends past the {n_words} words of "
+                             f"document '{doc.doc_id}'")
+        span = tuple(span)
+    return QaExample(doc=doc, question=question, answers=answers, span=span)
 
 
 def _cls_example(doc: RawDocument, record: dict) -> ClsExample:

@@ -160,14 +160,19 @@ def normalize_document(doc: RawDocument) -> list[Cell]:
             for i, (ws, box) in enumerate(zip(words, cell_grid.tolist()))]
 
 
+def reading_order(cell_grid: np.ndarray) -> np.ndarray:
+    """Source positions of the cells whose grid boxes are `cell_grid`
+    [C, 4], in reading order: by y0, then x0, then source position."""
+    return np.lexsort((np.arange(len(cell_grid)), cell_grid[:, 0], cell_grid[:, 1]))
+
+
 def serialize_cells(cells: list[Cell]) -> list[Cell]:
-    """Reading order: stable sort by (y0, x0, source position) of the
-    grid cell box."""
-    return sorted(cells, key=lambda c: (c.box[1], c.box[0], c.source_index))
+    """Cells in source order (`normalize_document`), in reading order."""
+    return [cells[i] for i in reading_order(np.array([c.box for c in cells]))]
 
 
 class DocumentTokens(NamedTuple):
-    """A document's token stream in reading order (`serialize_cells`):
+    """A document's token stream in reading order (`reading_order`):
     per token its id, its cell's and its word's index in reading order and
     its grid box, plus the grid box of every cell, in reading order, and
     the document's word count."""
@@ -183,15 +188,15 @@ class DocumentTokens(NamedTuple):
 def document_tokens(doc: RawDocument, vocab: Vocab, mode: str,
                     limit: Optional[int] = None) -> DocumentTokens:
     """The first `limit` tokens of `doc` (all of them when None), in one
-    array pass: the boxes the layout mode reads go onto the grid, one
-    lexsort orders the cells and per-word piece counts spread cell and word
-    indices over the tokens. Each token's box is its cell's in cell mode
-    and its word's in word mode."""
+    array pass: the boxes the layout mode reads go onto the grid,
+    `reading_order` orders the cells and per-word piece counts spread cell
+    and word indices over the tokens. Each token's box is its cell's in
+    cell mode and its word's in word mode."""
     check_layout_mode(mode)
     texts = [raw.text.split() for raw in doc.cells]
     n_words = np.fromiter(map(len, texts), np.int64, len(texts))
     cell_grid, word_grid = _grid_layout(doc, n_words, mode == WORD_LEVEL)
-    order = np.lexsort((np.arange(len(texts)), cell_grid[:, 0], cell_grid[:, 1]))
+    order = reading_order(cell_grid)
     # every word has a piece, so the first `limit` words hold the first
     # `limit` tokens
     words = islice(chain.from_iterable(map(texts.__getitem__, order.tolist())), limit)

@@ -21,7 +21,7 @@ from typing import ClassVar, Sequence
 
 import numpy as np
 
-from .documents import RawCell, RawDocument, normalize_document, serialize_cells
+from .documents import RawCell, RawDocument, grid_boxes, reading_order
 from .pretrain import derive_rng
 from .taskdata import ClsExample, QaExample, TaggingExample
 
@@ -424,6 +424,12 @@ def _bies(n: int, category: str) -> list[str]:
 _ROLE_CATEGORY = {"key": "question", "value": "answer", "header": "header"}
 
 
+def _reading_order(doc: RawDocument) -> list[int]:
+    """Source positions of the document's cells, in reading order."""
+    grid = grid_boxes([c.box for c in doc.cells], doc.page_width, doc.page_height)
+    return reading_order(grid).tolist()
+
+
 def gen_form_dataset(cfg: SynthConfig, n: int) -> list[TaggingExample]:
     """Word-level BIES tagging examples over generated forms."""
     if n < 2:
@@ -432,12 +438,12 @@ def gen_form_dataset(cfg: SynthConfig, n: int) -> list[TaggingExample]:
     for i in range(n):
         layout = _gen_form(cfg, derive_rng(cfg.seed, "form", i), f"form{i:06d}")
         labels: list[str] = []
-        for cell in serialize_cells(normalize_document(layout.doc)):
-            role = layout.roles[cell.source_index]
+        for ci in _reading_order(layout.doc):
+            role, n_words = layout.roles[ci], len(layout.doc.cells[ci].text.split())
             if role in _ROLE_CATEGORY:
-                labels.extend(_bies(len(cell.words), _ROLE_CATEGORY[role]))
+                labels.extend(_bies(n_words, _ROLE_CATEGORY[role]))
             else:
-                labels.extend(["O"] * len(cell.words))
+                labels.extend(["O"] * n_words)
         out.append(TaggingExample(doc=layout.doc, word_labels=labels))
     return out
 
@@ -457,14 +463,10 @@ def gen_qa_dataset(cfg: SynthConfig, n: int) -> list[QaExample]:
             ci for ci, (role, ki) in enumerate(zip(layout.roles, layout.key_indices))
             if role == "value" and ki == key_index
         )
-        offset = 0
-        span = None
-        for cell in serialize_cells(normalize_document(layout.doc)):
-            if cell.source_index == value_cell:
-                span = (offset, offset + len(cell.words) - 1)
-                break
-            offset += len(cell.words)
-        assert span is not None
+        order = _reading_order(layout.doc)
+        n_words = [len(layout.doc.cells[ci].text.split()) for ci in order]
+        k = order.index(value_cell)
+        span = (sum(n_words[:k]), sum(n_words[:k + 1]) - 1)
         question = "what is the " + " ".join(FIELD_KEYS[key_index][0]) + " ?"
         out.append(
             QaExample(

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -24,7 +24,7 @@ from .documents import TokenizedSequence, document_tokens, encode_document, stac
 from .metrics import TAG_LABELS, TAG_TO_ID, anls, extract_span, word_f1
 from .model import MASK_NEG
 from .optim import init_adam
-from .pretrain import IGNORE_LABEL, derive_rng, labeled_rows
+from .pretrain import derive_rng
 from .taskdata import QaExample
 from .trainer import IndexSampler, TrainConfig, train
 from .vocab import CLS_ID, SEP_ID, PAD_ID, Vocab, detokenize, tokenize_words
@@ -64,38 +64,39 @@ def _encode_docs(docs, vocab, model_cfg) -> list[TokenizedSequence]:
             for d in docs]
 
 
-def first_subwords(word_index: np.ndarray) -> np.ndarray:
-    """True at each word's first subword: a position whose word index is
-    a word's (not -1) and differs from the position before. A word's pieces
-    are adjacent, so this holds over a batch's packed rows as well."""
+def first_subwords(seqs: list[TokenizedSequence]) -> np.ndarray:
+    """True at each word's first subword among the packed rows of `seqs`
+    (each one's first `length` positions, in order): a position whose word
+    index is a word's (not -1) and differs from the position before."""
+    word_index = np.concatenate([s.word_index[:s.length] for s in seqs])
     first = word_index >= 0
     first[1:] &= word_index[1:] != word_index[:-1]
     return first
 
 
-def tagging_token_labels(seq: TokenizedSequence, word_labels: Sequence[str]) -> np.ndarray:
-    """Tag id at each word's first subword, ignore sentinel elsewhere; the
-    reader has checked that `word_labels` holds one tag per word."""
-    labels = np.full(len(seq.token_ids), IGNORE_LABEL, dtype=np.int64)
-    first = first_subwords(seq.word_index)
-    labels[first] = [TAG_TO_ID[word_labels[w]] for w in seq.word_index[first].tolist()]
-    return labels
+def kept_words(seq: TokenizedSequence) -> int:
+    """How many of its document's words a window holds: a window holds a
+    prefix of them, up to the word of its last token."""
+    return int(seq.word_index[seq.length - 2]) + 1
 
 
 def tagging_items(examples, vocab: Vocab, model_cfg: M.ModelConfig):
-    """(encoded document, token labels) per tagging example."""
+    """(encoded document, tag ids of the words its window keeps) per
+    tagging example."""
     seqs = _encode_docs([ex.doc for ex in examples], vocab, model_cfg)
-    return [(s, tagging_token_labels(s, ex.word_labels))
+    return [(s, np.array([TAG_TO_ID[t] for t in ex.word_labels[:kept_words(s)]],
+                         dtype=np.int64))
             for s, ex in zip(seqs, examples)]
 
 
 def tagging_loss(params, model_cfg: M.ModelConfig, items) -> Tensor:
-    """Token cross-entropy at each word's first subword; the head runs on
-    those rows alone."""
-    token_ids, boxes, mask = stack_batch([s for s, _ in items])
-    rows = M.encode(params, model_cfg, token_ids, boxes, mask)
-    tagged, targets = labeled_rows(rows, np.stack([labels for _, labels in items])[mask])
-    return ag.softmax_cross_entropy(M.head_tag(params, tagged), targets)
+    """Token cross-entropy at each word's first subword, the rows
+    `predict_word_tags` reads; the head runs on those rows alone."""
+    seqs = [s for s, _ in items]
+    rows = M.encode(params, model_cfg, *stack_batch(seqs))
+    tagged = ag.gather_rows(rows, np.nonzero(first_subwords(seqs)))
+    return ag.softmax_cross_entropy(M.head_tag(params, tagged),
+                                    np.concatenate([tags for _, tags in items]))
 
 
 def _chunk_logits(params, model_cfg: M.ModelConfig, seqs, batch_size: int, head):
@@ -133,11 +134,10 @@ def predict_word_tags(
     words, so a document's tags are its run of those rows, then O."""
     out = []
     for chunk, logits in _chunk_logits(params, model_cfg, seqs, batch_size, M.head_tag):
-        first = first_subwords(np.concatenate([s.word_index[:s.length] for s in chunk]))
-        tags = _TAG_NAMES[np.argmax(logits[first], axis=-1)].tolist()
+        tags = _TAG_NAMES[np.argmax(logits[first_subwords(chunk)], axis=-1)].tolist()
         start = 0
         for s in chunk:
-            kept = int(s.word_index[s.length - 2]) + 1  # the word of the last token
+            kept = kept_words(s)
             out.append(tags[start:start + kept] + ["O"] * (s.n_words - kept))
             start += kept
     return out
@@ -207,46 +207,28 @@ def qa_windows(
     return windows, doc.word_index.tolist()
 
 
-def qa_token_span(doc_words: list[int], span: tuple[int, int]) -> tuple[int, int]:
-    """Word span -> inclusive token span in the document stream."""
-    ws, we = span
-    starts = [i for i, w in enumerate(doc_words) if w == ws]
-    ends = [i for i, w in enumerate(doc_words) if w == we]
-    if not starts or not ends:
-        raise DataError(f"span {span} outside the document's {max(doc_words, default=-1) + 1} words")
-    return starts[0], ends[-1]
-
-
-def qa_training_window(
-    ex: QaExample, vocab: Vocab, model_cfg: M.ModelConfig
-) -> Optional[tuple[QaWindow, int, int]]:
-    """First window containing the whole gold span, with its start/end
-    positions in window coordinates; None when no window fits it."""
-    if ex.span is None:
-        return None
-    windows, doc_words = qa_windows(ex, vocab, model_cfg)
-    ts, te = qa_token_span(doc_words, ex.span)
-    for win in windows:
-        lo = win.doc_start
-        hi = win.doc_start + len(win.window_token_ids)
-        if lo <= ts and te < hi:
-            return win, win.doc_offset + ts - lo, win.doc_offset + te - lo
-    return None
-
-
 def qa_items(examples, vocab: Vocab, model_cfg: M.ModelConfig):
-    """(window, start, end) per QA example whose gold span fits a window;
-    see `qa_training_window`."""
+    """(window, start, end) per QA example whose gold span lies whole in a
+    window: the first such window, and the span's first and last token in
+    window coordinates."""
     items = []
     for ex in examples:
-        built = qa_training_window(ex, vocab, model_cfg)
-        if built is not None:
-            items.append(built)
+        if ex.span is None:
+            continue
+        windows, doc_words = qa_windows(ex, vocab, model_cfg)
+        # word indices rise along the stream: the span's tokens are one run
+        first, stop = np.searchsorted(doc_words, (ex.span[0], ex.span[1] + 1)).tolist()
+        for win in windows:
+            if win.doc_start <= first and stop <= win.doc_start + len(win.window_token_ids):
+                offset = win.doc_offset - win.doc_start
+                items.append((win, offset + first, offset + stop - 1))
+                break
+    if not items:
+        raise DataError(f"no training answer fits a window of max_len "
+                        f"{model_cfg.max_len} beside its question")
     if len(items) < len(examples):
         logger.warning("qa: %d training examples have no window covering "
                        "their span", len(examples) - len(items))
-    if not items:
-        raise ValueError("no trainable QA examples")
     return items
 
 
@@ -314,14 +296,15 @@ def classification_items(examples, vocab: Vocab, model_cfg: M.ModelConfig):
 
 
 def classification_loss(params, model_cfg: M.ModelConfig, items) -> Tensor:
-    """Cross-entropy of the document class read at [CLS]; the head runs on
-    the [CLS] rows alone."""
+    """Cross-entropy of the document class read at [CLS], each document's
+    first packed row, the row `classification_score` reads; the head runs
+    on those rows alone."""
     token_ids, boxes, mask = stack_batch([s for s, _ in items])
     rows = M.encode(params, model_cfg, token_ids, boxes, mask)
-    labels = np.full(mask.shape, IGNORE_LABEL)
-    labels[:, 0] = [label for _, label in items]
-    cls_rows, targets = labeled_rows(rows, labels[mask])
-    return ag.softmax_cross_entropy(M.head_cls(params, cls_rows), targets)
+    lengths = mask.sum(axis=1)
+    cls_rows = ag.gather_rows(rows, (np.cumsum(lengths) - lengths,))
+    return ag.softmax_cross_entropy(M.head_cls(params, cls_rows),
+                                    np.array([label for _, label in items]))
 
 
 def classification_score(params, examples, vocab: Vocab, model_cfg: M.ModelConfig,
@@ -329,10 +312,8 @@ def classification_score(params, examples, vocab: Vocab, model_cfg: M.ModelConfi
     """Share of documents whose class is the top logit at [CLS]."""
     seqs = _encode_docs([ex.doc for ex in examples], vocab, model_cfg)
     blocks = _head_logits(params, model_cfg, seqs, batch_size, M.head_cls)
-    logits = np.stack([b[0] for b in blocks])
-    gold = np.array([ex.label for ex in examples])
-    correct = int((np.argmax(logits, axis=-1) == gold).sum())
-    return {"accuracy": correct / len(examples)}
+    top = np.argmax([b[0] for b in blocks], axis=-1)
+    return {"accuracy": int((top == [ex.label for ex in examples]).sum()) / len(examples)}
 
 
 # -- the shared fine-tuning driver -------------------------------------------------
@@ -369,13 +350,8 @@ def finetune(
 ) -> tuple[dict[str, Tensor], dict]:
     """Train the task head + encoder on the task loss; report the task
     metric on the eval split. Deterministic given the seed."""
-    if not train_examples:
-        raise ValueError("empty training dataset")
-    if task == "classification":
-        for ex in [*train_examples, *eval_examples]:
-            if not 0 <= ex.label < model_cfg.num_doc_classes:
-                raise DataError(f"{ex.doc.doc_id}: class label {ex.label} outside "
-                                f"[0, {model_cfg.num_doc_classes})")
+    if not train_examples or not eval_examples:
+        raise ValueError("empty training or evaluation dataset")
     params = prepare_finetune_params(model_cfg, task, init, train_cfg.seed,
                                      PRECISIONS[train_cfg.precision])
     spec = TASKS[task]
@@ -391,20 +367,4 @@ def finetune(
                    range(train_cfg.steps), metrics_log):
         pass
 
-    report = evaluate(task, params, eval_examples, vocab, model_cfg, train_cfg)
-    return params, report
-
-
-def evaluate(
-    task: str,
-    params: dict[str, Tensor],
-    eval_examples: list,
-    vocab: Vocab,
-    model_cfg: M.ModelConfig,
-    train_cfg: TrainConfig,
-) -> dict:
-    """The task's metric over a labeled example list."""
-    if not eval_examples:
-        raise ValueError("empty evaluation dataset")
-    return TASKS[task].score(params, eval_examples, vocab, model_cfg,
-                             train_cfg.batch_size)
+    return params, spec.score(params, eval_examples, vocab, model_cfg, train_cfg.batch_size)

@@ -412,12 +412,17 @@ def test_malformed_document_is_exit_2(pipeline, tmp_path, capsys, command, bad):
     assert f"{name}:4: " in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("change", [{"question": None}, {"question": 5}, {"answers": []}],
-                         ids=["null-question", "number-question", "no-answers"])
-def test_malformed_qa_label_is_exit_2(pipeline, tmp_path, capsys, change):
+# every fifth example is held out: lines 1 to 4 of a labels file are
+# trained on, line 5 is evaluated
+@pytest.mark.parametrize("change,line", [
+    ({"question": None}, 3), ({"question": 5}, 3), ({"answers": []}, 3),
+    ({"span": [0, 999]}, 3), ({"span": [0, 999]}, 5),
+], ids=["null-question", "number-question", "no-answers", "span-past-the-document-train",
+        "span-past-the-document-eval"])
+def test_malformed_qa_label_is_exit_2(pipeline, tmp_path, capsys, change, line):
     _, out, _ = pipeline
     lines = (out / "qa_labels.jsonl").read_text().splitlines()
-    lines[2] = json.dumps({**json.loads(lines[2]), **change})
+    lines[line - 1] = json.dumps({**json.loads(lines[line - 1]), **change})
     labels = tmp_path / "qa_labels.jsonl"
     labels.write_text("\n".join(lines) + "\n")
     code = main(["finetune", "--task", "qa", "--docs", str(out / "qa_docs.jsonl"),
@@ -425,8 +430,50 @@ def test_malformed_qa_label_is_exit_2(pipeline, tmp_path, capsys, change):
                  "--out", str(tmp_path / "x"), "--steps", "2"] + TINY_MODEL)
     assert code == 2
     err = capsys.readouterr().err.strip().splitlines()
-    assert len(err) == 1 and "qa_labels.jsonl:3: " in err[0]
+    assert len(err) == 1 and f"qa_labels.jsonl:{line}: " in err[0]
     assert not (tmp_path / "x").exists()  # rejected before any training
+
+
+def finetune_on(out, task, labels, run_dir, *extra):
+    """A short `finetune` run of `task` on the tiny corpus's documents with
+    the labels file `labels`, into `run_dir`."""
+    docs = {"classification": "cls_docs.jsonl", "qa": "qa_docs.jsonl"}[task]
+    return main(["finetune", "--task", task, "--docs", str(out / docs),
+                 "--labels", str(labels), "--init", "none", "--vocab", str(out / "vocab.txt"),
+                 "--out", str(run_dir), "--steps", "2", *TINY_MODEL, *extra])
+
+
+def one_data_error(capsys) -> str:
+    """The one line a run wrote to stderr: a data error, no traceback."""
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("data error: "), err
+    return err[0]
+
+
+@pytest.mark.parametrize("line", [1, 5], ids=["train", "eval"])
+def test_finetune_rejects_a_class_label_outside_the_classes(pipeline, tmp_path, capsys,
+                                                           line):
+    _, out, _ = pipeline
+    lines = (out / "cls_labels.jsonl").read_text().splitlines()
+    record = json.loads(lines[line - 1])
+    lines[line - 1] = json.dumps({**record, "label": 3})
+    labels = tmp_path / "cls_labels.jsonl"
+    labels.write_text("\n".join(lines) + "\n")
+    assert finetune_on(out, "classification", labels, tmp_path / "x") == 2
+    err = one_data_error(capsys)
+    assert f"{labels}: document '{record['doc_id']}': class label 3 outside [0, 3)" in err
+    assert not (tmp_path / "x").exists()  # a rerun cannot truncate an earlier log
+
+
+def test_qa_with_no_answer_in_any_window_is_one_data_error_line(pipeline, tmp_path,
+                                                                 capsys):
+    _, out, _ = pipeline
+    # a 10-token window leaves one token beside each question, and every
+    # answer of the tiny corpus has at least two
+    code = finetune_on(out, "qa", out / "qa_labels.jsonl", tmp_path / "x", "--max-len", "10")
+    assert code == 2
+    assert one_data_error(capsys) == ("data error: no training answer fits a window of "
+                                      "max_len 10 beside its question")
 
 
 @pytest.mark.parametrize("mode", ["word-level", "cell-level"])

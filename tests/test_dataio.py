@@ -149,6 +149,20 @@ def test_qa_question_and_answers_are_checked_where_read(tmp_path, change, messag
         read_qa_examples(*paths)
 
 
+def test_qa_span_past_the_documents_words_names_path_and_line(tmp_path):
+    ex = gen_qa_dataset(CFG, 2)[0]
+    n = sum(len(c.text.split()) for c in ex.doc.cells)
+    record = {"doc_id": ex.doc.doc_id, "question": ex.question, "answers": ex.answers}
+    last_word = [{**record, "span": [n - 1, n - 1]}, {**record, "span": None}]
+    assert [e.span for e in read_qa_examples(*_write_labels(tmp_path, [ex.doc], last_word))
+            ] == [(n - 1, n - 1), None]
+    paths = _write_labels(tmp_path, [ex.doc], [{**record, "span": list(ex.span)},
+                                               {**record, "span": [n - 2, n]}])
+    with pytest.raises(DataError, match=rf"l\.jsonl:2: span \[{n - 2}, {n}\] ends past the "
+                                        rf"{n} words of document '{ex.doc.doc_id}'"):
+        read_qa_examples(*paths)
+
+
 def test_qa_question_is_read_lowercase(tmp_path):
     ex = gen_qa_dataset(CFG, 2)[0]
     record = {"doc_id": ex.doc.doc_id, "question": "What is the TOTAL ?",

@@ -15,15 +15,14 @@ from cellformer.checkpoint import load_checkpoint, save_checkpoint, snapshot
 from cellformer.dataio import DataError
 from cellformer.documents import encode_document, stack_batch
 from cellformer.model import MASK_NEG, ModelConfig
-from cellformer.pretrain import IGNORE_LABEL, PretrainConfig, derive_rng, make_pretrain_example
+from cellformer.pretrain import PretrainConfig, derive_rng, make_pretrain_example
 from cellformer.metrics import TAG_LABELS, TAG_TO_ID
 from cellformer.synth import SynthConfig, gen_cls_dataset, gen_form_dataset, gen_qa_dataset, vocab_words
-from cellformer.taskdata import QaExample, split_train_eval
+from cellformer.taskdata import QaExample, TaggingExample, split_train_eval
 from cellformer.tasks import (
-    TASKS, _head_logits, classification_items, classification_loss, evaluate, finetune,
+    TASKS, _head_logits, classification_items, classification_loss, finetune,
     predict_word_tags, prepare_finetune_params, qa_items, qa_loss, qa_predict_answer,
-    qa_token_span, qa_training_window, qa_windows, tagging_items, tagging_loss,
-    tagging_token_labels,
+    qa_windows, tagging_items, tagging_loss,
 )
 from cellformer.trainer import Pretrainer, TrainConfig, pretrain_batch_loss
 from cellformer.vocab import CLS_ID, PAD_ID, SEP_ID, build_vocab, tokenize_to_ids
@@ -57,20 +56,27 @@ def test_split_train_eval_is_every_fifth():
     assert train == [0, 1, 2, 3, 5, 6, 7, 8]
 
 
-def test_tagging_labels_only_on_first_subwords(vocab, model_cfg):
-    ex = gen_form_dataset(SYNTH, 2)[0]
-    seq = encode_document(ex.doc, vocab, model_cfg.max_len)
-    labels = tagging_token_labels(seq, ex.word_labels)
-    first_positions = {}
-    for pos, w in enumerate(seq.word_index.tolist()):
-        if w >= 0 and w not in first_positions:
-            first_positions[w] = pos
-    for pos, lab in enumerate(labels.tolist()):
-        if pos in first_positions.values():
-            w = seq.word_index[pos]
-            assert lab == TAG_TO_ID[ex.word_labels[w]]
-        else:
-            assert lab == IGNORE_LABEL
+def test_tagging_items_hold_the_tags_of_the_kept_words(edge_docs, edge_vocab,
+                                                       reference_tokens):
+    examples = []
+    for doc in edge_docs:
+        n_words = sum(len(c.text.split()) for c in doc.cells)
+        examples.append(TaggingExample(doc, [TAG_LABELS[(3 * w + 1) % len(TAG_LABELS)]
+                                             for w in range(n_words)]))
+    cut = 0
+    for max_len in [*range(3, 16), 64]:
+        cfg = ModelConfig(vocab_size=len(edge_vocab), num_layers=1, num_heads=2,
+                          hidden_d=16, ffn_d=32, max_len=max_len)
+        items = tagging_items(examples, edge_vocab, cfg)
+        for (seq, tags), ex in zip(items, examples, strict=True):
+            _, rows = reference_tokens(ex.doc, edge_vocab, "cell")
+            window, rest = rows[:max_len - 2], rows[max_len - 2:]
+            # a word cut by the window keeps its tag: its first piece is in it
+            cut += bool(rest) and rest[0][2] == window[-1][2]
+            kept = window[-1][2] + 1
+            assert tags.dtype == np.int64
+            assert tags.tolist() == [TAG_TO_ID[t] for t in ex.word_labels[:kept]]
+    assert cut
 
 
 # -- losses on the encoder's packed rows ---------------------------------------
@@ -86,9 +92,14 @@ def _padded(params, model_cfg, seqs):
 def test_tagging_loss_equals_the_padded_formulation(vocab, model_cfg):
     params = prepare_finetune_params(model_cfg, "tagging", None, seed=3)
     items = tagging_items(gen_form_dataset(SYNTH, 4), vocab, model_cfg)
-    hidden = _padded(params, model_cfg, [s for s, _ in items])
-    padded = ag.softmax_cross_entropy(M.head_tag(params, hidden),
-                                      np.stack([labels for _, labels in items]))
+    seqs = [s for s, _ in items]
+    # the tags at each word's first subword, the ignore label elsewhere
+    labels = np.full((len(seqs), model_cfg.max_len), -100)
+    for row, (seq, tags) in zip(labels, items):
+        firsts = [seq.word_index.tolist().index(w) for w in range(len(tags))]
+        row[firsts] = tags
+    hidden = _padded(params, model_cfg, seqs)
+    padded = ag.softmax_cross_entropy(M.head_tag(params, hidden), labels, -100)
     loss = tagging_loss(params, model_cfg, items)
     assert abs(loss.item() - padded.item()) <= 1e-12 * abs(padded.item())
 
@@ -151,8 +162,7 @@ def test_qa_windows_layout(vocab, model_cfg):
     assert np.all(win.boxes[1:1 + q_len] == 0)
     # document region boxes are real
     assert win.boxes[win.doc_mask].max() > 0
-    ts, te = qa_token_span(doc_words, ex.span)
-    assert 0 <= ts <= te < len(doc_words)
+    assert {*ex.span} <= set(doc_words)
 
 
 @pytest.mark.parametrize("mode", ["cell", "word"])
@@ -227,11 +237,12 @@ def test_qa_windows_cover_when_question_leaves_little_room(vocab, small, room):
 def test_qa_training_window_fits_span_when_question_leaves_little_room(vocab, small):
     room = 5  # below max_len // 4 = 6; every gold answer is <= 3 tokens
     n_q = small.max_len - 3 - room
-    for ex in gen_qa_dataset(SYNTH, 6):
-        q = dataclasses.replace(ex, question=" ".join(["what"] * (n_q - 1) + ["?"]))
-        built = qa_training_window(q, vocab, small)
-        assert built is not None, ex.doc.doc_id
-        win, start, end = built
+    examples = gen_qa_dataset(SYNTH, 6)
+    questions = [dataclasses.replace(ex, question=" ".join(["what"] * (n_q - 1) + ["?"]))
+                 for ex in examples]
+    items = qa_items(questions, vocab, small)
+    assert len(items) == len(examples)
+    for ex, (win, start, end) in zip(examples, items):
         assert win.doc_mask[start] and win.doc_mask[end]
         answer_ids = [i for w in ex.answers[0].split()
                       for i in tokenize_to_ids(w, vocab)]
@@ -239,16 +250,25 @@ def test_qa_training_window_fits_span_when_question_leaves_little_room(vocab, sm
 
 
 def test_qa_training_window_contains_span(vocab, model_cfg):
-    for ex in gen_qa_dataset(SYNTH, 6):
-        built = qa_training_window(ex, vocab, model_cfg)
-        assert built is not None
-        win, start, end = built
+    examples = gen_qa_dataset(SYNTH, 6)
+    items = qa_items(examples, vocab, model_cfg)
+    assert len(items) == len(examples)
+    for ex, (win, start, end) in zip(examples, items):
         assert win.doc_mask[start] and win.doc_mask[end]
         ids = win.token_ids[start:end + 1]
         answer_ids = []
         for w in ex.answers[0].split():
             answer_ids.extend(tokenize_to_ids(w, vocab))
         assert ids.tolist() == answer_ids
+
+
+def test_qa_items_reject_a_set_where_no_answer_fits_a_window(vocab, small):
+    # one token of room beside the question holds no answer of two words
+    examples = [dataclasses.replace(ex, question=" ".join(["what"] * (small.max_len - 5) + ["?"]))
+                for ex in gen_qa_dataset(SYNTH, 10) if ex.span[1] > ex.span[0]]
+    assert examples and qa_windows(examples[0], vocab, small)[0][0].doc_offset == small.max_len - 2
+    with pytest.raises(DataError, match="no training answer fits a window of max_len 24"):
+        qa_items(examples, vocab, small)
 
 
 def test_prepare_params_heads(model_cfg):
@@ -282,16 +302,8 @@ def test_finetune_rejects_bad_task_and_empty_data(vocab, model_cfg):
         finetune("segmentation", [1], [1], vocab, model_cfg, cfg)
     with pytest.raises(ValueError, match="empty"):
         finetune("tagging", [], [], vocab, model_cfg, cfg)
-
-
-@pytest.mark.parametrize("split", ["train", "eval"])
-def test_finetune_rejects_a_class_label_outside_the_classes(vocab, model_cfg, split):
-    train, eval_ = split_train_eval(gen_cls_dataset(SYNTH, 10))
-    bad = (train if split == "train" else eval_)[-1]
-    bad.label = model_cfg.num_doc_classes
-    cfg = TrainConfig(steps=1, batch_size=1)
-    with pytest.raises(DataError, match=f"{bad.doc.doc_id}: class label 3 outside"):
-        finetune("classification", train, eval_, vocab, model_cfg, cfg)
+    with pytest.raises(ValueError, match="empty"):
+        finetune("tagging", gen_form_dataset(SYNTH, 2), [], vocab, model_cfg, cfg)
 
 
 def test_finetune_leaves_its_init_checkpoint_unchanged(vocab, model_cfg, tmp_path):
@@ -466,9 +478,8 @@ def test_qa_predict_answer_without_graph_matches_graph_forward(
 def test_evaluate_without_graph_matches_graph_forward(
         task, vocab, model_cfg, graph_free_vs_graph):
     params = prepare_finetune_params(model_cfg, task, None, seed=3)
-    cfg = TrainConfig(steps=1, batch_size=2, precision="float64")
     report = graph_free_vs_graph(
-        lambda: evaluate(task, params, TASK_DATA[task](SYNTH, 5), vocab,
-                         model_cfg, cfg))
+        lambda: TASKS[task].score(params, TASK_DATA[task](SYNTH, 5), vocab,
+                                  model_cfg, batch_size=2))
     assert report
     assert all(p.grad is None and p.requires_grad for p in params.values())
